@@ -21,6 +21,8 @@
 #include "obs/report_session.hh"
 #include "obs/span_trace.hh"
 #include "parallel/cell_pool.hh"
+#include "reference_ooo_core.hh"
+#include "sim/ooo_core.hh"
 #include "trace/trace_cache.hh"
 #include "workloads/registry.hh"
 
@@ -313,6 +315,31 @@ BM_EnsembleTimingHetero(benchmark::State &state, bool hetero)
                    " width=4");
 }
 
+/**
+ * The timing core's issue stage: the same overriding-gshare run
+ * through ReferenceOooCore (the per-cycle ROB scan, "reference") and
+ * OooCore (the unissued-slot bitmask, "event"). SimResults are
+ * identical — test_issue_equivalence.cc — so the ratio is the issue
+ * stage's share of simulator wall clock; CI holds event at >= 1.3x
+ * reference in the same run.
+ */
+template <class Core>
+void
+BM_OooCoreIssue(benchmark::State &state)
+{
+    const auto &trace = sharedTrace();
+    Counter insts = 0;
+    for (auto _ : state) {
+        auto fp = makeFetchPredictor(PredictorKind::Gshare, 64 * 1024,
+                                     DelayMode::Overriding);
+        Core core(CoreConfig{}, *fp);
+        const auto r = core.run(trace);
+        benchmark::DoNotOptimize(r.cycles);
+        insts += r.instructions;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(insts));
+}
+
 /** Register the per-kind replay-kernel benchmarks. Called from main
  *  (name/closure registration needs runtime values). */
 void
@@ -334,6 +361,12 @@ registerKernelBenchmarks()
             [kind](benchmark::State &s) { BM_EnsembleReplay(s, kind); })
             ->Unit(benchmark::kMillisecond);
     }
+    benchmark::RegisterBenchmark("BM_OooCoreIssue/reference",
+                                 BM_OooCoreIssue<ReferenceOooCore>)
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark("BM_OooCoreIssue/event",
+                                 BM_OooCoreIssue<OooCore>)
+        ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(
         "BM_EnsembleTiming/serial",
         [](benchmark::State &s) { BM_EnsembleTiming(s, false); })

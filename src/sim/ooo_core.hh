@@ -119,10 +119,13 @@ class OooCore
     /**
      * @param cfg Microarchitecture parameters (Table 1 defaults).
      * @param predictor Fetch-side branch predictor (not owned).
+     * @throws std::invalid_argument when @p cfg has robEntries 0 or
+     *         above 65536, issueWidth 0 or fetchBufferEntries 0.
      */
     OooCore(const CoreConfig &cfg, FetchPredictor &predictor);
 
-    /** Run the whole @p trace to completion and return the stats. */
+    /** Run the whole @p trace to completion and return the stats.
+     *  @throws std::runtime_error as finish() does. */
     SimResult run(const TraceBuffer &trace);
 
     // Incremental interface: run() is exactly
@@ -134,8 +137,10 @@ class OooCore
     // the same per-member iteration sequence as a serial run —
     // byte-identical SimResults by construction.
 
-    /** Reset per-run stats and arm the livelock guard for @p trace.
-     *  Must precede the first advance() on a fresh core. */
+    /** Reset per-run stats and arm the livelock guard for @p trace:
+     *  advance() stops after 100 000 cycles plus, per op, 64 cycles
+     *  and the configured I-fetch-miss, front-end and load-miss
+     *  latencies. Must precede the first advance() on a fresh core. */
     void begin(const TraceBuffer &trace);
 
     /**
@@ -146,7 +151,13 @@ class OooCore
      */
     void advance(const TraceBuffer &trace, std::size_t fetch_target);
 
-    /** Stamp final cycle count and cache/BTB rates; returns stats. */
+    /**
+     * Stamp final cycle count and cache/BTB rates; returns stats.
+     * @throws std::runtime_error when the pipeline has not drained:
+     *         the livelock guard (see begin()) ended advance() with
+     *         ops still unfetched or in flight, so the stats would
+     *         undercount the trace.
+     */
     SimResult finish();
 
     /**
@@ -176,7 +187,6 @@ class OooCore
          *  for the operand's producer. */
         Producer prodA;
         Producer prodB;
-        bool issued = false;
         bool done = false;
         bool mispredictedBranch = false;
         bool valid = false;
@@ -224,6 +234,9 @@ class OooCore
 
     std::deque<FetchedInst> fetchBuffer_;
     std::vector<RobEntry> rob_;
+    /** One bit per ROB slot, set iff the slot holds a dispatched,
+     *  unissued entry (see issueStage for the walk order). */
+    std::vector<std::uint64_t> unissuedMask_;
     std::size_t robHead_ = 0;
     std::size_t robTail_ = 0;
     std::size_t robCount_ = 0;
@@ -254,6 +267,8 @@ class OooCore
     std::vector<std::uint64_t> completeHeap_;
     /** Livelock guard captured by begin() for advance(). */
     Cycle maxCycles_ = 0;
+    /** Length of the trace begin() armed the core for. */
+    std::size_t traceSize_ = 0;
 
     obs::EventTracer *tracer_ = nullptr;
     SimResult result_;

@@ -18,57 +18,11 @@
 #include "obs/event_trace.hh"
 #include "predictors/static_pred.hh"
 #include "sim/ooo_core.hh"
+#include "sim_result_equal.hh"
 #include "trace/trace_buffer.hh"
 
 namespace bpsim {
 namespace {
-
-/** Every counter and rate of two SimResults must agree exactly. */
-void
-expectIdentical(const SimResult &a, const SimResult &b,
-                const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.condBranches, b.condBranches);
-    EXPECT_EQ(a.mispredictions, b.mispredictions);
-    EXPECT_EQ(a.overridingBubbleCycles, b.overridingBubbleCycles);
-    EXPECT_EQ(a.btbMissPenaltyCycles, b.btbMissPenaltyCycles);
-    EXPECT_EQ(a.mispredictWaitCycles, b.mispredictWaitCycles);
-    EXPECT_EQ(a.icacheStallCycles, b.icacheStallCycles);
-    EXPECT_EQ(a.frontEndStallCycles, b.frontEndStallCycles);
-    EXPECT_EQ(a.overrideStallCycles, b.overrideStallCycles);
-    EXPECT_EQ(a.btbStallCycles, b.btbStallCycles);
-    EXPECT_EQ(a.robStallCycles, b.robStallCycles);
-    EXPECT_EQ(a.flushes, b.flushes);
-    EXPECT_EQ(a.squashedUops, b.squashedUops);
-    EXPECT_EQ(a.l1iMissRate, b.l1iMissRate);
-    EXPECT_EQ(a.l1dMissRate, b.l1dMissRate);
-    EXPECT_EQ(a.l2MissRate, b.l2MissRate);
-    EXPECT_EQ(a.btbHitRate, b.btbHitRate);
-}
-
-/** The traced event streams must match event by event. */
-void
-expectIdenticalEvents(const obs::EventTracer &a,
-                      const obs::EventTracer &b,
-                      const std::string &what)
-{
-    SCOPED_TRACE(what);
-    ASSERT_EQ(a.recorded(), b.recorded());
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const obs::TraceEvent &ea = a.at(i);
-        const obs::TraceEvent &eb = b.at(i);
-        ASSERT_EQ(ea.cycle, eb.cycle) << "event " << i;
-        ASSERT_EQ(ea.pc, eb.pc) << "event " << i;
-        ASSERT_EQ(ea.arg, eb.arg) << "event " << i;
-        ASSERT_EQ(static_cast<int>(ea.type),
-                  static_cast<int>(eb.type))
-            << "event " << i;
-    }
-}
 
 /** Run @p trace under @p make-built predictors with skipping off and
  *  on (tracing both runs) and require identical outcomes. */

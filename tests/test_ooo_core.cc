@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "predictors/static_pred.hh"
 #include "trace/trace_buffer.hh"
@@ -206,6 +207,67 @@ TEST(OooCore, ResultRates)
     EXPECT_DOUBLE_EQ(r.mispredictionRate(), 0.25);
     EXPECT_DOUBLE_EQ(r.mispredictionPercent(), 25.0);
     EXPECT_EQ(r.instructions, t.size());
+}
+
+/** Configurations the core cannot simulate are rejected in every
+ *  build type, not only where asserts are compiled in. */
+TEST(OooCore, RejectsInvalidConfigs)
+{
+    SingleCycleFetchPredictor fp(std::make_unique<StaticPredictor>(true));
+    const auto build = [&](auto edit) {
+        CoreConfig cfg;
+        edit(cfg);
+        OooCore core(cfg, fp);
+    };
+    EXPECT_THROW(build([](CoreConfig &c) { c.robEntries = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](CoreConfig &c) { c.robEntries = 65537; }),
+                 std::invalid_argument);
+    EXPECT_THROW(build([](CoreConfig &c) { c.issueWidth = 0; }),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        build([](CoreConfig &c) { c.fetchBufferEntries = 0; }),
+        std::invalid_argument);
+    // The bounds themselves are valid.
+    EXPECT_NO_THROW(build([](CoreConfig &c) { c.robEntries = 1; }));
+    EXPECT_NO_THROW(build([](CoreConfig &c) { c.robEntries = 65536; }));
+}
+
+/** A slow but live run drains: a one-entry ROB serializing
+ *  back-to-back loads that miss to a memory far slower than 64
+ *  cycles per op still commits every op. */
+TEST(OooCore, SlowMemoryChainDrains)
+{
+    TraceBuffer t;
+    for (std::size_t i = 0; i < 2000; ++i) {
+        MicroOp op;
+        op.cls = InstClass::Load;
+        op.pc = 0x1000;
+        op.extra = (i * 524287) % (512u * 1024 * 1024);
+        op.dst = 1;
+        op.srcA = 1;
+        t.push(op);
+    }
+    CoreConfig cfg;
+    cfg.robEntries = 1;
+    cfg.memoryCycles = 5000;
+    const auto r =
+        simulate(t, std::make_unique<StaticPredictor>(true), cfg);
+    EXPECT_EQ(r.instructions, t.size());
+    EXPECT_GT(r.cycles, 5000u * t.size());
+}
+
+/** A run the livelock guard cuts short must not pass for a result:
+ *  an overriding predictor whose every disagreement stalls fetch for
+ *  far longer than the guard's per-op allowance never drains. */
+TEST(OooCore, LivelockGuardThrows)
+{
+    const auto t = branchy(2000, 0, [](auto) { return true; });
+    OverridingFetchPredictor stuck(
+        std::make_unique<StaticPredictor>(false),
+        std::make_unique<StaticPredictor>(true), 100000);
+    OooCore core(CoreConfig{}, stuck);
+    EXPECT_THROW(core.run(t), std::runtime_error);
 }
 
 } // namespace
