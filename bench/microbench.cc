@@ -12,8 +12,10 @@
 #include <filesystem>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_util.hh"
+#include "common/rng.hh"
 #include "common/vec_kernels.hh"
 #include "core/ensemble.hh"
 #include "core/factory.hh"
@@ -22,8 +24,10 @@
 #include "obs/span_trace.hh"
 #include "parallel/cell_pool.hh"
 #include "reference_ooo_core.hh"
+#include "reference_trace_v3.hh"
 #include "sim/ooo_core.hh"
 #include "trace/trace_cache.hh"
+#include "trace/trace_io.hh"
 #include "workloads/registry.hh"
 
 namespace bpsim {
@@ -546,10 +550,12 @@ BM_TraceCacheCompressed(benchmark::State &state)
 /**
  * Columnar (v3) trace-cache codec, the BM_TraceCacheCompressed
  * analogue: one store (column split + delta encode + checksums)
- * plus one load of a 200k-op trace. The load side is the v3 cold
- * cost — mmap, header/dir/block-checksum validation, zero-copy
- * branch columns; op decoding stays lazy and unpaid, which is why
- * this runs far ahead of the v2 codec.
+ * plus one load of a 200k-op trace. The load side is what the
+ * cache pays per entry — a pread into an owned buffer (the cache
+ * loads PrivateCopy, never mmap), header/dir/block-checksum
+ * validation, branch columns served from that buffer; op decoding
+ * stays lazy and unpaid, which is why this runs far ahead of the v2
+ * codec.
  */
 void
 BM_TraceCacheColumnar(benchmark::State &state)
@@ -569,6 +575,62 @@ BM_TraceCacheColumnar(benchmark::State &state)
     }
     std::filesystem::remove_all(dir);
     state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+
+/**
+ * v3 block checksum throughput over 4 MiB of random bytes in 64 KiB
+ * blocks, the way readTrace validates every cache entry:
+ * referenceBlockHash64 (the pre-rewrite byte-assembled words,
+ * test-only) against blockHash64. The values are equal
+ * (test_trace_codec_equivalence); CI holds current at >= 2x
+ * reference in the same run. Items are bytes hashed.
+ */
+template <std::uint64_t (*Hash)(const std::uint8_t *, std::size_t)>
+void
+BM_BlockHash64(benchmark::State &state)
+{
+    constexpr std::size_t bytes = std::size_t{4} << 20;
+    constexpr std::size_t block = 64 * 1024;
+    static const std::vector<std::uint8_t> data = [] {
+        std::vector<std::uint8_t> d(bytes);
+        Rng rng(1);
+        for (auto &b : d)
+            b = static_cast<std::uint8_t>(rng.next());
+        return d;
+    }();
+    for (auto _ : state) {
+        std::uint64_t acc = 0;
+        for (std::size_t pos = 0; pos < bytes; pos += block)
+            acc ^= Hash(data.data() + pos, block);
+        benchmark::DoNotOptimize(acc);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes));
+}
+
+/**
+ * One v3 store of the shared 200k-op trace to a temp file per
+ * iteration: referenceWriteTraceV3 (five growing section vectors,
+ * then a zero-filled assembled copy, test-only) against writeTraceV3
+ * (exactly sized single image encoded in one pass). Byte-identical
+ * files (test_trace_codec_equivalence); CI holds current at >= 1.3x
+ * reference in the same run. Items are trace ops stored.
+ */
+template <void (*Write)(const TraceBuffer &, const std::string &)>
+void
+BM_TraceV3Store(benchmark::State &state)
+{
+    const std::string path =
+        std::filesystem::temp_directory_path() /
+        "bpsim_microbench_v3_store.bpt";
+    const TraceBuffer &trace = sharedTrace();
+    for (auto _ : state)
+        Write(trace, path);
+    std::filesystem::remove(path);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(trace.size()));
 }
 
 } // namespace
@@ -591,6 +653,16 @@ BENCHMARK(bpsim::BM_TraceCacheWarm)->Unit(benchmark::kMillisecond);
 BENCHMARK(bpsim::BM_TraceCacheCompressed)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(bpsim::BM_TraceCacheColumnar)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bpsim::BM_BlockHash64<bpsim::referenceBlockHash64>)
+    ->Name("BM_BlockHash64/reference");
+BENCHMARK(bpsim::BM_BlockHash64<bpsim::blockHash64>)
+    ->Name("BM_BlockHash64/current");
+BENCHMARK(bpsim::BM_TraceV3Store<bpsim::referenceWriteTraceV3>)
+    ->Name("BM_TraceV3Store/reference")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bpsim::BM_TraceV3Store<bpsim::writeTraceV3>)
+    ->Name("BM_TraceV3Store/current")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(bpsim::BM_OooCoreStallSkip)
     ->Arg(0)

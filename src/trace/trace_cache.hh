@@ -12,11 +12,14 @@
  * keyed by workload name, trace length, generation seed and the cache
  * format version (bumped whenever trace generation or the trace file
  * format changes meaning). Entries are columnar v3 trace_io files
- * (writeTraceV3), which load memory-mapped: branchView() is served
- * zero-copy from the file and micro-ops decode lazily, so a warm
- * accuracy run never pays a decode at all. Read-back reuses the
- * trace_io validation; a corrupt entry surfaces as TraceIoError and
- * is treated as a miss. A v2 (compressed) entry left by an older
+ * (writeTraceV3). They load as TraceReadMode::PrivateCopy, one pread
+ * into an owned buffer, never memory-mapped: another process may
+ * truncate a shared entry in place, which a mapping would turn into
+ * SIGBUS. branchView() is served from that buffer without decoding
+ * and micro-ops decode lazily, so a warm accuracy run never pays a
+ * decode at all. Read-back reuses the trace_io validation, every
+ * block checksum included; a corrupt entry surfaces as TraceIoError
+ * and is treated as a miss. A v2 (compressed) entry left by an older
  * build migrates transparently: the first v3 miss probes the v2
  * path, decodes it, re-stores it as v3 and serves it as a hit —
  * nothing is regenerated and the v2 file is left alone for any older

@@ -1,7 +1,8 @@
 #include "trace/trace_io.hh"
 
-#include <array>
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -22,7 +23,7 @@ constexpr std::uint32_t versionColumnar = 3;
 constexpr std::size_t recordBytes = 20;
 /** v3 sections sit at multiples of this (cache-line) alignment. */
 constexpr std::size_t v3Align = 64;
-/** v3 checksum granularity: one FNV-1a-64 per 64 KiB block. */
+/** v3 checksum granularity: one blockHash64 per 64 KiB block. */
 constexpr std::size_t v3BlockBytes = 64 * 1024;
 /** v3 section count: branchPc, branchTaken, opMeta, opPcDelta,
  *  opExtraDelta, blockSums. */
@@ -53,36 +54,65 @@ struct FileCloser
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/**
+ * Close a stream opened for writing, throwing when the final flush
+ * or the close fails: a write error that surfaces only there (disk
+ * full, I/O error) must not pass for a complete file, or the trace
+ * cache would publish the truncated temp file as a good entry.
+ */
+void
+closeWritten(FilePtr &f, const std::string &path)
+{
+    if (std::fclose(f.release()) != 0)
+        throw TraceIoError("cannot flush '" + path + "'");
+}
+
+// Little-endian field access. memcpy plus a byte swap only on
+// big-endian hosts, so each load or store compiles to one
+// instruction: a byte-at-a-time loop is not always merged back into
+// a word load, and blockHash64 lives on these.
+
+template <class T>
+T
+fromLittle(T v)
+{
+    if constexpr (std::endian::native == std::endian::big) {
+        if constexpr (sizeof(T) == 8)
+            return __builtin_bswap64(v);
+        else
+            return __builtin_bswap32(v);
+    }
+    return v;
+}
+
 void
 putU32(std::uint8_t *p, std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    v = fromLittle(v);
+    std::memcpy(p, &v, 4);
 }
 
 void
 putU64(std::uint8_t *p, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    v = fromLittle(v);
+    std::memcpy(p, &v, 8);
 }
 
 std::uint32_t
 getU32(const std::uint8_t *p)
 {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
+    std::uint32_t v;
+    std::memcpy(&v, p, 4);
+    return fromLittle(v);
 }
 
 std::uint64_t
 getU64(const std::uint8_t *p)
 {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
+    std::uint64_t v;
+    std::memcpy(&v, p, 8);
+    return fromLittle(v);
 }
 
 std::uint64_t
@@ -96,21 +126,8 @@ fnv1a64(const std::uint8_t *p, std::size_t n)
     return h;
 }
 
-/**
- * Hash for v3 payload blocks: four independent multiply-rotate
- * lanes over little-endian 64-bit words (tail zero-padded, length
- * mixed into lane 0's seed), lanes folded with a final avalanche.
- *
- * FNV-1a is byte-serial — one multiply PER BYTE on the critical
- * path — which made checksum validation the dominant cost of a warm
- * cache load (~130 ms per figure run over a ~124 MB cache
- * directory). Four lanes of word-wide multiplies pipeline to
- * several bytes per cycle with the same corruption-detection power
- * for this purpose: any flipped or truncated byte perturbs its
- * lane, and the fold propagates it through the final value. v2
- * payloads and the tiny v3 directory keep FNV-1a (compatibility and
- * negligible size, respectively).
- */
+} // namespace
+
 std::uint64_t
 blockHash64(const std::uint8_t *p, std::size_t n)
 {
@@ -120,26 +137,37 @@ blockHash64(const std::uint8_t *p, std::size_t n)
         h ^= w * k1;
         return (h << 27 | h >> 37) * k2;
     };
-    std::uint64_t h[4] = {0x736F6D6570736575ull ^ n,
-                          0x646F72616E646F6Dull,
-                          0x6C7967656E657261ull,
-                          0x7465646279746573ull};
+    // Four named lanes, not an array, and words read by getU64's
+    // memcpy: GCC keeps the lanes in registers and issues one 8-byte
+    // load per word. An array of lanes fed byte-assembled words kept
+    // it from merging the loads (BM_BlockHash64 times both).
+    std::uint64_t h0 = 0x736F6D6570736575ull ^ n;
+    std::uint64_t h1 = 0x646F72616E646F6Dull;
+    std::uint64_t h2 = 0x6C7967656E657261ull;
+    std::uint64_t h3 = 0x7465646279746573ull;
     std::size_t i = 0;
-    for (; i + 32 <= n; i += 32)
-        for (int l = 0; l < 4; ++l)
-            h[l] = round(h[l], getU64(p + i + 8 * l));
+    for (; i + 32 <= n; i += 32) {
+        h0 = round(h0, getU64(p + i));
+        h1 = round(h1, getU64(p + i + 8));
+        h2 = round(h2, getU64(p + i + 16));
+        h3 = round(h3, getU64(p + i + 24));
+    }
     if (i < n) {
         std::uint8_t tail[32] = {};
         std::memcpy(tail, p + i, n - i);
-        for (int l = 0; l < 4; ++l)
-            h[l] = round(h[l], getU64(tail + 8 * l));
+        h0 = round(h0, getU64(tail));
+        h1 = round(h1, getU64(tail + 8));
+        h2 = round(h2, getU64(tail + 16));
+        h3 = round(h3, getU64(tail + 24));
     }
-    std::uint64_t r = (h[0] ^ h[1]) * k1 ^ (h[2] ^ h[3]) * k2;
+    std::uint64_t r = (h0 ^ h1) * k1 ^ (h2 ^ h3) * k2;
     r ^= r >> 29;
     r *= k1;
     r ^= r >> 32;
     return r;
 }
+
+namespace {
 
 /** Signed delta -> small unsigned value (zigzag). */
 std::uint64_t
@@ -164,6 +192,29 @@ putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
         v >>= 7;
     }
     out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/** Bytes putVarint spends on @p v: ceil(bits / 7), computed as
+ *  (9 * bits + 64) / 64, which is exact for 1..64 bits and cheaper
+ *  than the division in the sizing pass. */
+std::size_t
+varintBytes(std::uint64_t v)
+{
+    return (static_cast<std::size_t>(std::bit_width(v | 1)) * 9 + 64) /
+           64;
+}
+
+/** putVarint into a buffer sized by varintBytes; returns the byte
+ *  past the encoding. */
+std::uint8_t *
+putVarint(std::uint8_t *out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *out++ = static_cast<std::uint8_t>(v) | 0x80;
+        v >>= 7;
+    }
+    *out++ = static_cast<std::uint8_t>(v);
+    return out;
 }
 
 /** Strict LEB128 decode: advances @p pos, throws on truncation or a
@@ -231,6 +282,7 @@ writeTrace(const TraceBuffer &trace, const std::string &path)
             flush();
     }
     flush();
+    closeWritten(f, path);
 }
 
 void
@@ -287,6 +339,7 @@ writeTraceCompressed(const TraceBuffer &trace, const std::string &path)
         std::fwrite(payload.data(), 1, payload.size(), f.get()) !=
             payload.size())
         throw TraceIoError("short write on records");
+    closeWritten(f, path);
 }
 
 namespace {
@@ -403,11 +456,13 @@ class FileBytes
                 fb->mapLen_ = fb->size_;
             } else {
                 // Heap fallback, u64-backed so the branch pc column
-                // stays suitably aligned for in-place reads.
-                fb->heap_.resize((fb->size_ + 7) / 8);
+                // stays suitably aligned for in-place reads. Left
+                // uninitialized: pread fills every byte or throws.
+                fb->heap_ = std::make_unique_for_overwrite<
+                    std::uint64_t[]>((fb->size_ + 7) / 8);
                 std::size_t done = 0;
                 auto *dst =
-                    reinterpret_cast<std::uint8_t *>(fb->heap_.data());
+                    reinterpret_cast<std::uint8_t *>(fb->heap_.get());
                 while (done < fb->size_) {
                     const ssize_t n =
                         ::pread(fd, dst + done, fb->size_ - done,
@@ -440,14 +495,14 @@ class FileBytes
     {
         return map_ ? map_
                     : reinterpret_cast<const std::uint8_t *>(
-                          heap_.data());
+                          heap_.get());
     }
     std::size_t size() const { return size_; }
 
   private:
     const std::uint8_t *map_ = nullptr;
     std::size_t mapLen_ = 0;
-    std::vector<std::uint64_t> heap_;
+    std::unique_ptr<std::uint64_t[]> heap_;
     std::size_t size_ = 0;
 };
 
@@ -682,80 +737,104 @@ readTraceV3(const std::string &path, bool allow_mmap)
 void
 writeTraceV3(const TraceBuffer &trace, const std::string &path)
 {
-    // Build the five data sections in memory, then the block-sum
-    // table, then assemble the (deterministic, canonical) file image
-    // and write it in one go.
-    std::vector<std::uint8_t> branchPc, branchTaken, opMeta, opPc,
-        opExtra;
-    opMeta.reserve(trace.size() * 4);
+    // Size every section exactly first, so the (deterministic,
+    // canonical) file image is allocated once; then encode all five
+    // data sections straight into their final offsets in one pass,
+    // hash the blocks in place and write the image in one go.
+    const auto first = trace.begin();
+    const auto last = trace.end();
+    std::size_t branches = 0;
+    std::size_t pcBytes = 0;
+    std::size_t extraBytes = 0;
+    {
+        std::uint64_t prevPc = 0;
+        std::uint64_t prevExtra[6] = {};
+        for (auto it = first; it != last; ++it) {
+            const auto cls = static_cast<std::uint8_t>(it->cls);
+            pcBytes += varintBytes(zigzag(it->pc - prevPc));
+            extraBytes += varintBytes(zigzag(it->extra - prevExtra[cls]));
+            prevPc = it->pc;
+            prevExtra[cls] = it->extra;
+            branches += it->cls == InstClass::CondBranch;
+        }
+    }
+
+    std::size_t sizes[v3NumSections] = {
+        8 * branches, branches, 4 * trace.size(), pcBytes, extraBytes, 0};
+    for (std::size_t i = 0; i < 5; ++i)
+        sizes[5] += 8 * ((sizes[i] + v3BlockBytes - 1) / v3BlockBytes);
+    std::size_t offsets[v3NumSections];
+    std::size_t cursor = v3DirEnd;
+    for (std::size_t i = 0; i < v3NumSections; ++i) {
+        offsets[i] = alignUp(cursor, v3Align);
+        cursor = offsets[i] + sizes[i];
+    }
+    const std::size_t fileSize = cursor;
+
+    // Every byte is written below: the header and directory, the
+    // zero padding before each section, and each section.
+    const auto file = std::make_unique_for_overwrite<std::uint8_t[]>(
+        fileSize);
+    std::uint8_t *const img = file.get();
+    cursor = v3DirEnd;
+    for (std::size_t i = 0; i < v3NumSections; ++i) {
+        std::memset(img + cursor, 0, offsets[i] - cursor);
+        cursor = offsets[i] + sizes[i];
+    }
+
+    std::uint8_t *branchPc = img + offsets[0];
+    std::uint8_t *branchTaken = img + offsets[1];
+    std::uint8_t *opMeta = img + offsets[2];
+    std::uint8_t *opPc = img + offsets[3];
+    std::uint8_t *opExtra = img + offsets[4];
     std::uint64_t prevPc = 0;
     std::uint64_t prevExtra[6] = {};
-    for (const MicroOp &op : trace) {
-        std::uint8_t meta[4];
-        packOpMeta(op, meta);
-        opMeta.insert(opMeta.end(), meta, meta + 4);
-        putVarint(opPc, zigzag(op.pc - prevPc));
+    for (auto it = first; it != last; ++it) {
+        const MicroOp &op = *it;
+        packOpMeta(op, opMeta);
+        opMeta += 4;
+        opPc = putVarint(opPc, zigzag(op.pc - prevPc));
         const auto cls = static_cast<std::uint8_t>(op.cls);
-        putVarint(opExtra, zigzag(op.extra - prevExtra[cls]));
+        opExtra = putVarint(opExtra, zigzag(op.extra - prevExtra[cls]));
         prevPc = op.pc;
         prevExtra[cls] = op.extra;
         if (op.cls == InstClass::CondBranch) {
-            std::uint8_t pc[8];
-            putU64(pc, op.pc);
-            branchPc.insert(branchPc.end(), pc, pc + 8);
-            branchTaken.push_back(op.taken ? 1 : 0);
+            putU64(branchPc, op.pc);
+            branchPc += 8;
+            *branchTaken++ = op.taken ? 1 : 0;
+        }
+    }
+    assert(opPc == img + offsets[3] + sizes[3] &&
+           opExtra == img + offsets[4] + sizes[4]);
+
+    std::uint8_t *sum = img + offsets[5];
+    for (std::size_t i = 0; i < 5; ++i) {
+        for (std::size_t pos = 0; pos < sizes[i]; pos += v3BlockBytes) {
+            putU64(sum, blockHash64(img + offsets[i] + pos,
+                                    std::min(v3BlockBytes,
+                                             sizes[i] - pos)));
+            sum += 8;
         }
     }
 
-    const std::vector<std::uint8_t> *data[5] = {
-        &branchPc, &branchTaken, &opMeta, &opPc, &opExtra};
-    std::vector<std::uint8_t> blockSums;
-    for (const auto *d : data) {
-        for (std::size_t pos = 0; pos < d->size();
-             pos += v3BlockBytes) {
-            const std::size_t n =
-                std::min(v3BlockBytes, d->size() - pos);
-            std::uint8_t sum[8];
-            putU64(sum, blockHash64(d->data() + pos, n));
-            blockSums.insert(blockSums.end(), sum, sum + 8);
-        }
-    }
-
-    std::size_t offsets[v3NumSections];
-    std::size_t sizes[v3NumSections];
-    std::size_t cursor = v3DirEnd;
+    std::memcpy(img, magic, 8);
+    putU32(img + 8, versionColumnar);
+    putU32(img + 12, 0);
+    putU64(img + 16, trace.size());
+    putU64(img + v3DirOffset, branches);
     for (std::size_t i = 0; i < v3NumSections; ++i) {
-        sizes[i] = i < 5 ? data[i]->size() : blockSums.size();
-        cursor = alignUp(cursor, v3Align);
-        offsets[i] = cursor;
-        cursor += sizes[i];
+        putU64(img + v3DirOffset + 8 + 16 * i, offsets[i]);
+        putU64(img + v3DirOffset + 8 + 16 * i + 8, sizes[i]);
     }
-
-    std::vector<std::uint8_t> file(cursor, 0);
-    std::memcpy(file.data(), magic, 8);
-    putU32(file.data() + 8, versionColumnar);
-    putU32(file.data() + 12, 0);
-    putU64(file.data() + 16, trace.size());
-    putU64(file.data() + v3DirOffset, branchTaken.size());
-    for (std::size_t i = 0; i < v3NumSections; ++i) {
-        putU64(file.data() + v3DirOffset + 8 + 16 * i, offsets[i]);
-        putU64(file.data() + v3DirOffset + 8 + 16 * i + 8, sizes[i]);
-    }
-    putU64(file.data() + v3DirOffset + v3DirPayloadBytes,
-           fnv1a64(file.data() + v3DirOffset, v3DirPayloadBytes));
-    for (std::size_t i = 0; i < 5; ++i)
-        std::memcpy(file.data() + offsets[i], data[i]->data(),
-                    sizes[i]);
-    std::memcpy(file.data() + offsets[5], blockSums.data(),
-                sizes[5]);
+    putU64(img + v3DirOffset + v3DirPayloadBytes,
+           fnv1a64(img + v3DirOffset, v3DirPayloadBytes));
 
     FilePtr f(std::fopen(path.c_str(), "wb"));
     if (!f)
         throw TraceIoError("cannot open '" + path + "' for writing");
-    if (!file.empty() &&
-        std::fwrite(file.data(), 1, file.size(), f.get()) !=
-            file.size())
+    if (std::fwrite(img, 1, fileSize, f.get()) != fileSize)
         throw TraceIoError("short write on records");
+    closeWritten(f, path);
 }
 
 TraceBuffer

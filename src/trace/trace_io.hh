@@ -45,9 +45,7 @@
  *   3  opPcDelta    LEB128 zigzag(pc delta) stream
  *   4  opExtraDelta LEB128 zigzag(per-class extra delta) stream
  *   5  blockSums    64-bit block hash per 64 KiB block of sections
- *                   0-4 (four-lane word-wise multiply-rotate — see
- *                   blockHash64 in trace_io.cc; FNV-1a would cost
- *                   one multiply per byte on every warm cache load)
+ *                   0-4 (blockHash64 below)
  *
  * Sections 0-1 duplicate the conditional-branch columns of the op
  * stream so accuracy replay never decodes ops at all: readTrace()
@@ -62,6 +60,8 @@
 #ifndef BPSIM_TRACE_TRACE_IO_HH
 #define BPSIM_TRACE_TRACE_IO_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -77,6 +77,10 @@ class TraceIoError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+// Every writer throws TraceIoError when the file cannot be opened,
+// written, flushed or closed, so a file a writer returns from is
+// complete.
+
 /** Write @p trace to @p path (raw v1); throws TraceIoError. */
 void writeTrace(const TraceBuffer &trace, const std::string &path);
 
@@ -90,6 +94,23 @@ void writeTraceCompressed(const TraceBuffer &trace,
  *  comment); throws TraceIoError on failure. Reading it back yields
  *  a bit-identical trace served zero-copy. */
 void writeTraceV3(const TraceBuffer &trace, const std::string &path);
+
+/**
+ * The v3 per-block checksum over @p n bytes at @p p: four
+ * independent multiply-rotate lanes over little-endian 64-bit words
+ * (tail zero-padded, length mixed into lane 0's seed), folded with a
+ * final avalanche. Any alignment of @p p is fine.
+ *
+ * FNV-1a is byte-serial, one multiply per byte on the critical path,
+ * which made checksum validation the dominant cost of a warm cache
+ * load. Four lanes of word-wide multiplies pipeline to several bytes
+ * per cycle with the same corruption-detection power for this
+ * purpose: any flipped or truncated byte perturbs its lane, and the
+ * fold propagates it through the final value. v2 payloads and the
+ * tiny v3 directory keep FNV-1a (compatibility and negligible size,
+ * respectively). Its values are part of the file format.
+ */
+std::uint64_t blockHash64(const std::uint8_t *p, std::size_t n);
 
 /**
  * How readTrace may back the returned buffer.

@@ -62,6 +62,21 @@ TEST(TraceIo, MissingFileThrows)
                  TraceIoError);
 }
 
+TEST(TraceIo, WritersThrowWhenTheFinalFlushFails)
+{
+    // /dev/full accepts open() and buffered fwrite()s, then fails the
+    // flush at fclose() with ENOSPC: a writer that drops fclose's
+    // result would report a truncated file as written.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full on this platform";
+    EXPECT_THROW(writeTraceV3(TraceBuffer{}, "/dev/full"),
+                 TraceIoError);
+    EXPECT_THROW(writeTraceCompressed(TraceBuffer{}, "/dev/full"),
+                 TraceIoError);
+    EXPECT_THROW(writeTrace(TraceBuffer{}, "/dev/full"),
+                 TraceIoError);
+}
+
 TEST(TraceIo, RejectsForeignFiles)
 {
     const std::string path = tempPath("garbage.bpt");
