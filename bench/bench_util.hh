@@ -106,9 +106,11 @@ takeJobsFlag(int &argc, char **argv)
 
 /**
  * `--ensemble 0|1` / `--ensemble=0|1`: the CLI mirror of the
- * BPSIM_ENSEMBLE environment variable (core/ensemble.hh). The flag
- * simply sets the variable for this process, so the sweep engines —
- * which only consult ensembleEnabled() — need no plumbing, and the
+ * BPSIM_ENSEMBLE environment variable (core/ensemble.hh), which
+ * switches batched replay of accuracy sweeps on or off; timing
+ * sweeps always run serially and ignore it. The flag simply sets
+ * the variable for this process, so the accuracy sweep engine —
+ * which only consults ensembleEnabled() — needs no plumbing, and the
  * flag wins over an inherited environment value. Anything but a
  * literal "0" or "1" is a usage error (exit 2); a trailing
  * `--ensemble` with no value is left for requireNoExtraArgs. Returns

@@ -218,108 +218,6 @@ BM_EnsembleReplay(benchmark::State &state, PredictorKind kind)
 }
 
 /**
- * Batched timing-ensemble replay vs the same members run serially:
- * a fig7-shaped group (one perceptron overriding core per standard
- * budget) either replayed in one pass over the shared trace
- * (EnsembleTimingReplay, arg 1) or simulated one core at a time
- * (runTiming, arg 0). Per-member SimResults are byte-identical
- * either way — test_ensemble.cc — so the ratio is pure trace-stream
- * amortization across the member cores.
- */
-void
-BM_EnsembleTiming(benchmark::State &state, bool batched)
-{
-    const auto &trace = sharedTrace();
-    CoreConfig cfg;
-    Counter insts = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        std::vector<std::unique_ptr<FetchPredictor>> owned;
-        for (const std::size_t budget : standardBudgets())
-            owned.push_back(makeFetchPredictor(
-                PredictorKind::Perceptron, budget,
-                DelayMode::Overriding));
-        state.ResumeTiming();
-        if (batched) {
-            std::vector<EnsembleTimingReplay::Member> members;
-            for (const auto &fp : owned)
-                members.push_back({cfg, fp.get()});
-            EnsembleTimingReplay replay(std::move(members));
-            const auto results = replay.run(trace);
-            benchmark::DoNotOptimize(results.data());
-            for (const auto &r : results)
-                insts += r.instructions;
-        } else {
-            for (const auto &fp : owned) {
-                const auto r = runTiming(cfg, *fp, trace);
-                benchmark::DoNotOptimize(r.cycles);
-                insts += r.instructions;
-            }
-        }
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(insts));
-    state.SetLabel(
-        std::string(batched ? "batched" : "serial") + " width=" +
-        std::to_string(standardBudgets().size()));
-}
-
-/**
- * Cross-kind (heterogeneous) timing-ensemble replay vs the same
- * members run serially: the fig8-shaped group — one core each for
- * multicomponent@53KB, gskew@64KB, perceptron@64KB (overriding) and
- * gshare.fast@64KB (single-cycle) — replayed in one pass over the
- * shared trace (arg 1) or one core at a time (arg 0). The old
- * per-kind grouping ran all four serially; the win here is what the
- * cross-kind merge buys a real figure sweep.
- */
-void
-BM_EnsembleTimingHetero(benchmark::State &state, bool hetero)
-{
-    const auto &trace = sharedTrace();
-    CoreConfig cfg;
-    const auto build = [] {
-        std::vector<std::unique_ptr<FetchPredictor>> owned;
-        owned.push_back(
-            makeFetchPredictor(PredictorKind::MultiComponent,
-                               53 * 1024, DelayMode::Overriding));
-        owned.push_back(makeFetchPredictor(
-            PredictorKind::Gskew, 64 * 1024, DelayMode::Overriding));
-        owned.push_back(
-            makeFetchPredictor(PredictorKind::Perceptron, 64 * 1024,
-                               DelayMode::Overriding));
-        owned.push_back(makeFetchPredictor(PredictorKind::GshareFast,
-                                           64 * 1024,
-                                           DelayMode::Ideal));
-        return owned;
-    };
-    Counter insts = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        auto owned = build();
-        state.ResumeTiming();
-        if (hetero) {
-            std::vector<EnsembleTimingReplay::Member> members;
-            for (const auto &fp : owned)
-                members.push_back({cfg, fp.get()});
-            EnsembleTimingReplay replay(std::move(members));
-            const auto results = replay.run(trace);
-            benchmark::DoNotOptimize(results.data());
-            for (const auto &r : results)
-                insts += r.instructions;
-        } else {
-            for (const auto &fp : owned) {
-                const auto r = runTiming(cfg, *fp, trace);
-                benchmark::DoNotOptimize(r.cycles);
-                insts += r.instructions;
-            }
-        }
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(insts));
-    state.SetLabel(std::string(hetero ? "hetero" : "serial") +
-                   " width=4");
-}
-
-/**
  * The timing core's issue stage: the same overriding-gshare run
  * through ReferenceOooCore (the per-cycle ROB scan, "reference") and
  * OooCore (the unissued-slot bitmask, "event"). SimResults are
@@ -370,22 +268,6 @@ registerKernelBenchmarks()
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark("BM_OooCoreIssue/event",
                                  BM_OooCoreIssue<OooCore>)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        "BM_EnsembleTiming/serial",
-        [](benchmark::State &s) { BM_EnsembleTiming(s, false); })
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        "BM_EnsembleTiming/batched",
-        [](benchmark::State &s) { BM_EnsembleTiming(s, true); })
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        "BM_EnsembleTimingHetero/serial",
-        [](benchmark::State &s) { BM_EnsembleTimingHetero(s, false); })
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        "BM_EnsembleTimingHetero/hetero",
-        [](benchmark::State &s) { BM_EnsembleTimingHetero(s, true); })
         ->Unit(benchmark::kMillisecond);
     const std::pair<const char *, SpanMode> spanModes[] = {
         {"BM_SpanOverhead/none", SpanMode::None},

@@ -45,15 +45,11 @@
 #ifndef BPSIM_CORE_ENSEMBLE_HH
 #define BPSIM_CORE_ENSEMBLE_HH
 
-#include <memory>
-#include <typeindex>
+#include <typeinfo>
 #include <vector>
 
 #include "core/runner.hh"
-#include "pipeline/fetch_predictor.hh"
 #include "predictors/predictor.hh"
-#include "sim/core_config.hh"
-#include "sim/ooo_core.hh"
 #include "trace/trace_buffer.hh"
 
 namespace bpsim {
@@ -93,112 +89,10 @@ runAccuracyEnsemble(const std::vector<DirectionPredictor *> &members,
                     const TraceBuffer &trace);
 
 /** False when BPSIM_ENSEMBLE=0 — the escape hatch that forces every
- *  suite sweep down the serial path (A/B identity testing). */
+ *  accuracy sweep (suiteAccuracyReportEnsemble) down the serial path
+ *  for A/B identity testing. Timing sweeps always run serially and
+ *  ignore it. */
 bool ensembleEnabled();
-
-/**
- * True when @p members — fetch-side predictors this time — can be
- * replayed as one batched *timing* group: at least two, and every
- * member individually batchable (non-empty ensembleTimingGroupKey).
- * Members need NOT share one key: each owns a private core and
- * advances at fetch-index boundaries that are side-effect-free, so
- * heterogeneous kinds and wrapper classes interleave without
- * observing each other (fig8's four distinct predictors form one
- * group). Null entries or members with unknown wrappers / inner
- * types return false — those cells must run serially.
- */
-bool ensembleTimingBatchable(
-    const std::vector<FetchPredictor *> &members);
-
-/**
- * Per-member timing key: the wrapper chain's types followed by each
- * wrapped direction predictor's decorator chain and concrete type,
- * in wrapper order. A non-empty key means the member may join a
- * batched group; two equal keys mean "same-kind" (a group whose
- * members' keys all match is uniform, otherwise heterogeneous —
- * reported via core.ensemble.timing.hetero_*). The stock delay
- * wrappers (SingleCycle / Overriding / Stall / DualPath / Cascading)
- * are accepted, optionally under a FaultInjectingFetchPredictor, and
- * inner direction predictors may be wrapped in the stock
- * FaultInjecting/Protected decorators. Empty when any wrapper or
- * innermost predictor type is unknown (user subclasses) — such cells
- * run serially.
- */
-std::vector<std::type_index>
-ensembleTimingGroupKey(FetchPredictor &member);
-
-/**
- * One member of a batched timing replay, as the engine drives it:
- * the incremental OooCore API behind a small vtable so user-supplied
- * core types can join a batched pass. advance() must pause at the
- * given fetch-index boundary without observable side effects (the
- * OooCore::begin/advance/finish contract), so member-major
- * interleaving stays bit-identical to a serial run per member.
- */
-class CoreDriver
-{
-  public:
-    virtual ~CoreDriver() = default;
-
-    /** Reset and arm the member for one pass over @p trace. */
-    virtual void begin(const TraceBuffer &trace) = 0;
-    /** Simulate until @p fetch_target ops are fetched (or the trace
-     *  ends); pausing must be side-effect-free. */
-    virtual void advance(const TraceBuffer &trace,
-                         std::size_t fetch_target) = 0;
-    /** Drain and return the member's final SimResult. */
-    virtual SimResult finish() = 0;
-};
-
-/**
- * Batched timing replay: N (fetch predictor, OooCore) cells of one
- * workload advanced through a single pass over the trace's op
- * stream. Each member owns a full private core (fetch wake state,
- * completion heap, ROB occupancy, stall attribution counters, cache
- * and BTB images) and is advanced member-major in fetch-index
- * blocks, so one block of trace ops is decoded from memory once per
- * group instead of once per cell while every member still executes
- * its exact serial cycle loop — cycleSkip fast-forwarding included,
- * per member. Members may mix predictor kinds, wrapper classes and
- * core configurations freely: the fetch predictor is a virtual
- * interface inside each private core, so a heterogeneous group
- * advances exactly like a uniform one. Results are byte-identical to
- * runTiming() per member by construction (see OooCore::advance).
- *
- * Two construction forms: the Member form builds one stock OooCore
- * per member and runs them through the monomorphic member loop (the
- * fast path every suite sweep takes); the CoreDriver form accepts
- * user-supplied core types behind the vtable and advances them
- * member-major through the same block schedule.
- */
-class EnsembleTimingReplay
-{
-  public:
-    /** One member cell: a core configuration plus its fetch
-     *  predictor (not owned; one predictor per member). */
-    struct Member
-    {
-        CoreConfig cfg;
-        FetchPredictor *predictor = nullptr;
-    };
-
-    explicit EnsembleTimingReplay(std::vector<Member> members);
-    /** Virtual-capable form: drive caller-supplied cores. */
-    explicit EnsembleTimingReplay(
-        std::vector<std::unique_ptr<CoreDriver>> drivers);
-    ~EnsembleTimingReplay();
-
-    /** Replay @p trace through every member; one SimResult per
-     *  member, in member order, each identical to what
-     *  runTiming(member.cfg, *member.predictor, trace) returns (or
-     *  to driving that member's CoreDriver alone). */
-    std::vector<SimResult> run(const TraceBuffer &trace);
-
-  private:
-    std::vector<Member> members_;
-    std::vector<std::unique_ptr<OooCore>> cores_;
-    std::vector<std::unique_ptr<CoreDriver>> drivers_;
-};
 
 } // namespace bpsim
 

@@ -1,14 +1,13 @@
 #include "core/runner.hh"
 
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <typeindex>
 
+#include "common/env.hh"
 #include "common/stats.hh"
 #include "core/dispatch.hh"
 #include "core/ensemble.hh"
-#include "obs/span_trace.hh"
 #include "parallel/cell_pool.hh"
 #include "trace/shared_trace_pool.hh"
 #include "workloads/registry.hh"
@@ -513,124 +512,6 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
     return stats;
 }
 
-std::vector<SimResult>
-suiteTimingReport(const SuiteTraces &suite, const CoreConfig &cfg,
-                  const std::function<
-                      std::unique_ptr<FetchPredictor>()> &make,
-                  double *harmonic_mean_ipc, obs::RunReport &report,
-                  const std::string &predictor_name,
-                  const std::string &mode, std::size_t budget_bytes,
-                  obs::MetricRegistry *metrics,
-                  obs::EventTracer *tracer, parallel::CellPool *pool)
-{
-    suite.describe(report);
-    if (metrics)
-        publishCacheStats(*metrics, suite);
-    std::vector<SimResult> results(suite.size());
-    std::vector<double> ipcs(suite.size());
-    std::vector<std::unique_ptr<FetchPredictor>> preds(suite.size());
-    // An event tracer records a single ordered stream; never fan its
-    // runs out across workers.
-    parallel::CellPool *effPool = tracer ? nullptr : pool;
-    forEachCell(
-        effPool, suite.size(),
-        [&](std::size_t i) {
-            preds[i] = make();
-            results[i] =
-                runTiming(cfg, *preds[i], suite.trace(i), tracer);
-            ipcs[i] = results[i].ipc();
-        },
-        [&](std::size_t i) {
-            report.rows.push_back(reportRow(suite.name(i),
-                                            predictor_name, mode,
-                                            budget_bytes, cfg,
-                                            results[i]));
-            if (metrics) {
-                results[i].publishMetrics(*metrics, suite.name(i));
-                publishPredictorStats(*metrics, *preds[i],
-                                      suite.name(i));
-            }
-            preds[i].reset();
-        });
-    if (harmonic_mean_ipc)
-        *harmonic_mean_ipc = harmonicMean(ipcs);
-    return results;
-}
-
-namespace {
-
-/** core.ensemble.timing.* gauges — the one metrics difference the
- *  timing-equivalence contract allows. */
-void
-publishTimingEnsembleGauges(obs::MetricRegistry *metrics,
-                            const EnsembleStats &stats)
-{
-    if (!metrics)
-        return;
-    metrics->gauge("core.ensemble.timing.batched_cells")
-        .set(static_cast<double>(stats.batchedCells));
-    metrics->gauge("core.ensemble.timing.serial_cells")
-        .set(static_cast<double>(stats.serialCells));
-    metrics->gauge("core.ensemble.timing.groups")
-        .set(static_cast<double>(stats.groups));
-    metrics->gauge("core.ensemble.timing.batch_width")
-        .set(static_cast<double>(stats.batchWidth));
-    metrics->gauge("core.ensemble.timing.hetero_groups")
-        .set(static_cast<double>(stats.heteroGroups));
-    metrics->gauge("core.ensemble.timing.hetero_cells")
-        .set(static_cast<double>(stats.heteroCells));
-    metrics->gauge("core.ensemble.timing.hetero_width")
-        .set(static_cast<double>(stats.heteroWidth));
-}
-
-/** Serial sweep of one timing config, honouring the per-workload
- *  factory form that suiteTimingReport's free-function signature
- *  cannot express. Row/metric order matches suiteTimingReport. */
-void
-serialTimingSweepOne(const SuiteTraces &suite, TimingCellConfig &c,
-                     obs::RunReport &report,
-                     obs::MetricRegistry *metrics,
-                     obs::EventTracer *tracer,
-                     parallel::CellPool *pool)
-{
-    if (!c.makeForWorkload) {
-        c.results = suiteTimingReport(suite, c.cfg, c.make,
-                                      &c.harmonicMeanIpc, report,
-                                      c.name, c.mode, c.budgetBytes,
-                                      metrics, tracer, pool);
-        return;
-    }
-    suite.describe(report);
-    if (metrics)
-        publishCacheStats(*metrics, suite);
-    c.results.assign(suite.size(), SimResult{});
-    std::vector<double> ipcs(suite.size());
-    std::vector<std::unique_ptr<FetchPredictor>> preds(suite.size());
-    parallel::CellPool *effPool = tracer ? nullptr : pool;
-    forEachCell(
-        effPool, suite.size(),
-        [&](std::size_t i) {
-            preds[i] = c.makeForWorkload(i);
-            c.results[i] =
-                runTiming(c.cfg, *preds[i], suite.trace(i), tracer);
-            ipcs[i] = c.results[i].ipc();
-        },
-        [&](std::size_t i) {
-            report.rows.push_back(reportRow(suite.name(i), c.name,
-                                            c.mode, c.budgetBytes,
-                                            c.cfg, c.results[i]));
-            if (metrics) {
-                c.results[i].publishMetrics(*metrics, suite.name(i));
-                publishPredictorStats(*metrics, *preds[i],
-                                      suite.name(i));
-            }
-            preds[i].reset();
-        });
-    c.harmonicMeanIpc = harmonicMean(ipcs);
-}
-
-} // namespace
-
 EnsembleStats
 suiteTimingReportEnsemble(const SuiteTraces &suite,
                           std::vector<TimingCellConfig> &configs,
@@ -639,166 +520,59 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
                           obs::EventTracer *tracer,
                           parallel::CellPool *pool)
 {
-    EnsembleStats stats;
-    const std::size_t nc = configs.size();
-    const std::size_t nw = suite.size();
-
-    // An event tracer records a single ordered stream: delegate the
-    // whole sweep, config by config, to the serial path (which also
-    // refuses the pool) — byte-identical by definition.
-    if (tracer) {
-        for (TimingCellConfig &c : configs)
-            serialTimingSweepOne(suite, c, report, metrics, tracer,
-                                 pool);
-        stats.serialCells = nc * nw;
-        publishTimingEnsembleGauges(metrics, stats);
-        return stats;
-    }
-
     suite.describe(report);
     if (metrics)
         publishCacheStats(*metrics, suite);
-
-    // Per-cell predictor factory (per-workload form wins, as on the
-    // accuracy side).
-    const auto makePred = [&configs](std::size_t c, std::size_t w) {
-        return configs[c].makeForWorkload
-                   ? configs[c].makeForWorkload(w)
-                   : configs[c].make();
-    };
-
-    // Probe each config's timing key — wrapper chain plus inner
-    // concrete predictor types — and merge every config with a
-    // non-empty key into ONE group per workload: members own private
-    // cores and pause at side-effect-free boundaries, so
-    // heterogeneous kinds interleave freely and one merged group
-    // means one trace pass instead of one per kind. The group is
-    // heterogeneous when two members' exact keys differ. Protected
-    // fetch predictors and unknown wrappers produce an empty key and
-    // stay serial; so does everything when the escape hatch is on.
-    std::vector<std::vector<std::size_t>> groups;
-    bool merged_hetero = false;
-    {
-        std::vector<std::unique_ptr<FetchPredictor>> probes(nc);
-        std::vector<std::size_t> batchable;
-        std::vector<std::vector<std::type_index>> keys(nc);
-        const bool enabled = ensembleEnabled();
-        for (std::size_t c = 0; c < nc; ++c) {
-            probes[c] = makePred(c, 0);
-            keys[c] = ensembleTimingGroupKey(*probes[c]);
-            if (!enabled || keys[c].empty())
-                groups.push_back({c});
-            else
-                batchable.push_back(c);
-        }
-        if (batchable.size() >= 2) {
-            for (std::size_t c : batchable)
-                merged_hetero =
-                    merged_hetero || keys[c] != keys[batchable[0]];
-            groups.push_back(std::move(batchable));
-        } else {
-            for (std::size_t c : batchable)
-                groups.push_back({c});
-        }
-    }
-
-    for (const auto &g : groups) {
-        if (g.size() >= 2) {
-            ++stats.groups;
-            stats.batchedCells += g.size() * nw;
-            stats.batchWidth = std::max(stats.batchWidth, g.size());
-            if (merged_hetero) {
-                ++stats.heteroGroups;
-                stats.heteroCells += g.size() * nw;
-                stats.heteroWidth =
-                    std::max(stats.heteroWidth, g.size());
-            }
-        } else {
-            stats.serialCells += nw;
-        }
-    }
-
-    // Compute phase: one cell per (group, workload) on the pool.
-    // Predictors are kept until emission publishes describeStats().
-    std::vector<std::vector<std::unique_ptr<FetchPredictor>>> preds(
-        nc);
-    for (auto &row : preds)
-        row.resize(nw);
+    const std::size_t nc = configs.size();
+    const std::size_t nw = suite.size();
     for (TimingCellConfig &c : configs)
         c.results.assign(nw, SimResult{});
+    // One cell per (config, workload), config-major. A cell's
+    // predictor lives until its commit publishes describeStats().
+    std::vector<std::unique_ptr<FetchPredictor>> preds(nc * nw);
+    // An event tracer records a single ordered stream; never fan its
+    // runs out across workers.
     forEachCell(
-        pool, groups.size() * nw,
+        tracer ? nullptr : pool, nc * nw,
         [&](std::size_t cell) {
-            const std::vector<std::size_t> &g = groups[cell / nw];
+            TimingCellConfig &c = configs[cell / nw];
             const std::size_t w = cell % nw;
-            std::vector<FetchPredictor *> members;
-            members.reserve(g.size());
-            for (std::size_t c : g) {
-                preds[c][w] = makePred(c, w);
-                members.push_back(preds[c][w].get());
-            }
-            if (g.size() >= 2 && ensembleTimingBatchable(members)) {
-                // Nested inside the pool's "cell" span so bpstat
-                // timeline can label batched timing cells — the
-                // hetero category marks cross-kind groups.
-                obs::SpanScope span(merged_hetero
-                                        ? "cell.batched.hetero"
-                                        : "cell.batched",
-                                    configs[g[0]].name, "width",
-                                    g.size());
-                std::vector<EnsembleTimingReplay::Member> ms;
-                ms.reserve(g.size());
-                for (std::size_t k = 0; k < g.size(); ++k)
-                    ms.push_back(
-                        {configs[g[k]].cfg, members[k]});
-                EnsembleTimingReplay replay(std::move(ms));
-                const auto results = replay.run(suite.trace(w));
-                for (std::size_t k = 0; k < g.size(); ++k)
-                    configs[g[k]].results[w] = results[k];
-            } else {
-                for (std::size_t k = 0; k < g.size(); ++k)
-                    configs[g[k]].results[w] =
-                        runTiming(configs[g[k]].cfg, *members[k],
-                                  suite.trace(w));
-            }
+            preds[cell] =
+                c.makeForWorkload ? c.makeForWorkload(w) : c.make();
+            c.results[w] =
+                runTiming(c.cfg, *preds[cell], suite.trace(w), tracer);
         },
-        [](std::size_t) {});
-
-    // Emission phase, config-major / workload-minor: byte-identical
-    // report rows and metrics to N sequential suiteTimingReport
-    // calls in list order.
-    for (std::size_t c = 0; c < nc; ++c) {
-        std::vector<double> ipcs(nw);
-        for (std::size_t w = 0; w < nw; ++w) {
-            ipcs[w] = configs[c].results[w].ipc();
-            report.rows.push_back(reportRow(
-                suite.name(w), configs[c].name, configs[c].mode,
-                configs[c].budgetBytes, configs[c].cfg,
-                configs[c].results[w]));
+        [&](std::size_t cell) {
+            TimingCellConfig &c = configs[cell / nw];
+            const std::size_t w = cell % nw;
+            report.rows.push_back(reportRow(suite.name(w), c.name,
+                                            c.mode, c.budgetBytes,
+                                            c.cfg, c.results[w]));
             if (metrics) {
-                configs[c].results[w].publishMetrics(*metrics,
-                                                     suite.name(w));
-                publishPredictorStats(*metrics, *preds[c][w],
+                c.results[w].publishMetrics(*metrics, suite.name(w));
+                publishPredictorStats(*metrics, *preds[cell],
                                       suite.name(w));
             }
-            preds[c][w].reset();
-        }
-        configs[c].harmonicMeanIpc = harmonicMean(ipcs);
-    }
+            preds[cell].reset();
+            if (w + 1 == nw) {
+                std::vector<double> ipcs;
+                ipcs.reserve(nw);
+                for (const SimResult &r : c.results)
+                    ipcs.push_back(r.ipc());
+                c.harmonicMeanIpc = harmonicMean(ipcs);
+            }
+        });
 
-    publishTimingEnsembleGauges(metrics, stats);
+    EnsembleStats stats;
+    stats.serialCells = nc * nw;
     return stats;
 }
 
 Counter
 benchOpsPerWorkload(Counter fallback)
 {
-    if (const char *env = std::getenv("BPSIM_OPS_PER_WORKLOAD")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<Counter>(v);
-    }
-    return fallback;
+    const long long v = envPositiveDecimal("BPSIM_OPS_PER_WORKLOAD");
+    return v > 0 ? static_cast<Counter>(v) : fallback;
 }
 
 } // namespace bpsim

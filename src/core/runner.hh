@@ -266,24 +266,29 @@ struct AccuracyCellConfig
     std::vector<AccuracyResult> results;
 };
 
-/** How a batched sweep executed (published as core.ensemble.*). */
+/**
+ * How a sweep executed. Only accuracy sweeps batch (published as
+ * core.ensemble.*); a timing sweep reports every cell in
+ * serialCells and zero in every other field.
+ */
 struct EnsembleStats
 {
-    /** (config x workload) cells replayed inside a batched group. */
+    /** Accuracy (config x workload) cells replayed inside a batched
+     *  group. */
     std::size_t batchedCells = 0;
-    /** Cells replayed one-at-a-time (unbatchable or lone configs). */
+    /** Cells replayed one-at-a-time: unbatchable or lone accuracy
+     *  configs, and every timing cell. */
     std::size_t serialCells = 0;
-    /** Batched groups formed. */
+    /** Batched accuracy groups formed. */
     std::size_t groups = 0;
-    /** Widest batched group (member count). */
+    /** Widest batched accuracy group (member count). */
     std::size_t batchWidth = 0;
-    /** Batched groups whose members mix kinds or wrapper chains
-     *  (timing: distinct ensembleTimingGroupKeys; accuracy: distinct
-     *  dynamic member types around one inner kind). */
+    /** Batched accuracy groups whose members mix wrapper chains
+     *  (distinct dynamic member types around one inner kind). */
     std::size_t heteroGroups = 0;
-    /** Cells replayed inside heterogeneous groups. */
+    /** Cells replayed inside those mixed-wrapper accuracy groups. */
     std::size_t heteroCells = 0;
-    /** Widest heterogeneous group (member count). */
+    /** Widest mixed-wrapper accuracy group (member count). */
     std::size_t heteroWidth = 0;
 };
 
@@ -311,12 +316,11 @@ EnsembleStats suiteAccuracyReportEnsemble(
     parallel::CellPool *pool = nullptr);
 
 /**
- * One cell of a batched timing sweep: a fetch-predictor
- * configuration plus core parameters and per-workload outputs. The
- * timing sweep drivers (fig2/fig7/fig8 and the pipeline/delay
- * ablations) build one per (kind, mode, budget) — in the exact row
- * order their serial loops used — and hand the whole list to
- * suiteTimingReportEnsemble.
+ * One configuration of a timing sweep: a fetch-predictor factory
+ * plus core parameters and per-workload outputs. The timing sweep
+ * drivers (fig2/fig7/fig8 and the pipeline/delay ablations) build
+ * one per (kind, mode, budget), in row order, and hand the whole
+ * list to suiteTimingReportEnsemble.
  */
 struct TimingCellConfig
 {
@@ -339,8 +343,7 @@ struct TimingCellConfig
      * Optional per-workload factory, taking the suite workload
      * index; wins over @c make when set. The fault-injection studies
      * use this to give every (config, workload) cell its own seeded
-     * FaultPlan. The built type must not depend on the index — the
-     * grouping probe keys on workload 0's instance.
+     * FaultPlan.
      */
     std::function<std::unique_ptr<FetchPredictor>(std::size_t)>
         makeForWorkload;
@@ -350,8 +353,8 @@ struct TimingCellConfig
     std::string mode;
     /** Hardware budget for report rows. */
     std::size_t budgetBytes = 0;
-    /** Core parameters for this cell (per-cell: the pipeline-depth
-     *  study batches cells whose cores differ). */
+    /** Core parameters for this configuration (the pipeline-depth
+     *  study sweeps them). */
     CoreConfig cfg;
 
     // Outputs, filled by suiteTimingReportEnsemble:
@@ -362,22 +365,19 @@ struct TimingCellConfig
 };
 
 /**
- * Run every timing configuration in @p configs over @p suite,
- * batching every batchable config (non-empty ensembleTimingGroupKey)
- * into one — possibly heterogeneous — group per workload through
- * EnsembleTimingReplay, so the whole sweep streams every trace once
- * instead of once per config. Groups whose members mix kinds or
- * wrapper chains are counted in core.ensemble.timing.hetero_* and
- * traced under the `cell.batched.hetero` span category.
- *
- * Equivalence contract: the appended report rows, the published
- * metrics (bar the extra core.ensemble.timing.* gauges) and each
- * config's results/harmonicMeanIpc are byte-identical to calling
- * suiteTimingReport once per config in list order. A non-null
- * @p tracer forces the whole sweep down the serial path (the event
- * stream is ordered), as does BPSIM_ENSEMBLE=0; configurations whose
- * predictors the timing probe rejects (unknown user subclasses) and
- * lone configs run serially with identical output.
+ * Run every timing configuration in @p configs over @p suite: one
+ * cell per (config, workload), config-major, each a fresh predictor
+ * (@c makeForWorkload when set, else @c make) through runTiming().
+ * Cells commit in that order, so the appended report rows are
+ * config-major / workload-minor at any pool size. Each commit
+ * appends the row, publishes the SimResult counters and the
+ * predictor's describeStats() gauges into @p metrics (when
+ * non-null) under `{workload=...}` labels, then frees the
+ * predictor; a config's last commit sets its harmonicMeanIpc (the
+ * Figure 7/8 reduction). A non-null @p tracer records every run's
+ * events and forces serial execution — the event stream is
+ * ordered. Returns serialCells = configs x workloads; timing cells
+ * are never batched, whatever BPSIM_ENSEMBLE says.
  */
 EnsembleStats suiteTimingReportEnsemble(
     const SuiteTraces &suite, std::vector<TimingCellConfig> &configs,
@@ -386,28 +386,10 @@ EnsembleStats suiteTimingReportEnsemble(
     parallel::CellPool *pool = nullptr);
 
 /**
- * suiteTiming plus reporting: appends one row per workload to
- * @p report, publishes each run's SimResult counters into
- * @p metrics (when non-null) under `{workload=...}` labels, records
- * events into @p tracer (when non-null), and publishes the fetch
- * predictor's describeStats() gauges. A non-null @p tracer forces
- * serial execution — the event stream is ordered.
- */
-std::vector<SimResult>
-suiteTimingReport(const SuiteTraces &suite, const CoreConfig &cfg,
-                  const std::function<
-                      std::unique_ptr<FetchPredictor>()> &make,
-                  double *harmonic_mean_ipc, obs::RunReport &report,
-                  const std::string &predictor_name,
-                  const std::string &mode, std::size_t budget_bytes,
-                  obs::MetricRegistry *metrics = nullptr,
-                  obs::EventTracer *tracer = nullptr,
-                  parallel::CellPool *pool = nullptr);
-
-/**
  * Default trace length for benches; reads BPSIM_OPS_PER_WORKLOAD
  * from the environment (so the sweeps can be scaled up to
- * paper-length runs) and falls back to @p fallback.
+ * paper-length runs) and falls back to @p fallback when it is unset
+ * or not a whole positive decimal.
  */
 Counter benchOpsPerWorkload(Counter fallback = 400000);
 

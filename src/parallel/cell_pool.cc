@@ -4,12 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "common/env.hh"
 #include "obs/span_trace.hh"
 
 namespace bpsim::parallel {
@@ -61,14 +61,7 @@ hardwareJobs()
 unsigned
 envJobs()
 {
-    const char *env = std::getenv("BPSIM_JOBS");
-    if (!env || *env == '\0')
-        return 0;
-    char *end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0)
-        return 0;
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(envPositiveDecimal("BPSIM_JOBS"));
 }
 
 unsigned

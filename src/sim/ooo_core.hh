@@ -124,41 +124,16 @@ class OooCore
      */
     OooCore(const CoreConfig &cfg, FetchPredictor &predictor);
 
-    /** Run the whole @p trace to completion and return the stats.
-     *  @throws std::runtime_error as finish() does. */
-    SimResult run(const TraceBuffer &trace);
-
-    // Incremental interface: run() is exactly
-    //   begin(t); advance(t, t.size()); finish();
-    // and the ensemble timing engine (core/ensemble.cc) interleaves
-    // the middle step across members in fetch-index blocks. The
-    // pause point only decides *when* advance() returns, never what
-    // any stage executes, so a blocked member-major replay performs
-    // the same per-member iteration sequence as a serial run —
-    // byte-identical SimResults by construction.
-
-    /** Reset per-run stats and arm the livelock guard for @p trace:
-     *  advance() stops after 100 000 cycles plus, per op, 64 cycles
-     *  and the configured I-fetch-miss, front-end and load-miss
-     *  latencies. Must precede the first advance() on a fresh core. */
-    void begin(const TraceBuffer &trace);
-
     /**
-     * Simulate until @p fetch_target trace ops have been fetched
-     * (pausing at the cycle boundary where `fetchIndex_` first
-     * reaches it) or, when @p fetch_target >= trace.size(), until
-     * the pipeline fully drains.
-     */
-    void advance(const TraceBuffer &trace, std::size_t fetch_target);
-
-    /**
-     * Stamp final cycle count and cache/BTB rates; returns stats.
-     * @throws std::runtime_error when the pipeline has not drained:
-     *         the livelock guard (see begin()) ended advance() with
+     * Run the whole @p trace to completion and return the stats.
+     * A livelock guard stops the cycle loop after 100 000 cycles
+     * plus, per op, 64 cycles and the configured I-fetch-miss,
+     * front-end and load-miss latencies.
+     * @throws std::runtime_error when the guard ended the loop with
      *         ops still unfetched or in flight, so the stats would
      *         undercount the trace.
      */
-    SimResult finish();
+    SimResult run(const TraceBuffer &trace);
 
     /**
      * Attach an event tracer (not owned; may be nullptr to detach).
@@ -265,10 +240,6 @@ class OooCore
      * mispredicted branch is ever in flight.
      */
     std::vector<std::uint64_t> completeHeap_;
-    /** Livelock guard captured by begin() for advance(). */
-    Cycle maxCycles_ = 0;
-    /** Length of the trace begin() armed the core for. */
-    std::size_t traceSize_ = 0;
 
     obs::EventTracer *tracer_ = nullptr;
     SimResult result_;

@@ -29,8 +29,9 @@
  * server process keeps its resident set capped. Over-budget traces
  * are evicted least-recently-fetched first (the weak entry remains,
  * so suites still holding the buffer are unaffected) and counted in
- * stats().evictions. Unset or 0 means unlimited (no pinning —
- * today's behavior).
+ * stats().evictions. Unset, 0 or anything but a whole positive
+ * decimal ("1.5", "2k") means unlimited (no pinning — today's
+ * behavior).
  *
  * Sharing is opt-in per SuiteTraces (see runner.hh): suites that are
  * byte-compared against a private-copy baseline keep private copies.

@@ -45,14 +45,8 @@ class ReferenceOooCore
     /** Run the whole @p trace to completion and return the stats. */
     SimResult run(const TraceBuffer &trace);
 
-    // Incremental interface: run() is exactly
-    //   begin(t); advance(t, t.size()); finish();
-    // and the ensemble timing engine (core/ensemble.cc) interleaves
-    // the middle step across members in fetch-index blocks. The
-    // pause point only decides *when* advance() returns, never what
-    // any stage executes, so a blocked member-major replay performs
-    // the same per-member iteration sequence as a serial run —
-    // byte-identical SimResults by construction.
+    // Incremental interface, kept from the OooCore of the time:
+    // run() is exactly begin(t); advance(t, t.size()); finish();
 
     /** Reset per-run stats and arm the livelock guard for @p trace.
      *  Must precede the first advance() on a fresh core. */

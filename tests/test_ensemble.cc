@@ -6,10 +6,10 @@
  * byte-identical counts, describeStats() gauges and visitState()
  * dumps to running each member alone. Also pins the grouping rules
  * (stock-wrapped members batch with bare siblings of the same inner
- * kind; heterogeneous timing kinds merge into one group; unknown
- * user subclasses refuse), the BPSIM_ENSEMBLE=0 escape hatch, and
- * suiteAccuracyReportEnsemble's contract that its RunReport is
- * byte-identical to serial suiteAccuracyReport calls.
+ * kind; unknown user subclasses refuse), the BPSIM_ENSEMBLE=0 escape
+ * hatch, and suiteAccuracyReportEnsemble's contract that its
+ * RunReport is byte-identical to serial suiteAccuracyReport calls.
+ * Timing sweeps never batch; their cases live in test_runner.cc.
  */
 
 #include <gtest/gtest.h>
@@ -24,10 +24,8 @@
 #include "core/ensemble.hh"
 #include "core/factory.hh"
 #include "core/runner.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/run_report.hh"
-#include "parallel/cell_pool.hh"
 #include "robust/fault_injector.hh"
 #include "robust/state_visitor.hh"
 #include "trace/trace_buffer.hh"
@@ -398,399 +396,6 @@ TEST(EnsembleReplay, EnvEscapeForcesSerialIdenticalOutput)
               batchedReport.toJson().dump(2));
 }
 
-// ---------------------------------------------------------------
-// Timing-ensemble replay (EnsembleTimingReplay + the suite engine).
-// ---------------------------------------------------------------
-
-void
-expectSameSimResult(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.condBranches, b.condBranches);
-    EXPECT_EQ(a.mispredictions, b.mispredictions);
-    EXPECT_EQ(a.overridingBubbleCycles, b.overridingBubbleCycles);
-    EXPECT_EQ(a.btbMissPenaltyCycles, b.btbMissPenaltyCycles);
-    EXPECT_EQ(a.mispredictWaitCycles, b.mispredictWaitCycles);
-    EXPECT_EQ(a.icacheStallCycles, b.icacheStallCycles);
-    EXPECT_EQ(a.frontEndStallCycles, b.frontEndStallCycles);
-    EXPECT_EQ(a.overrideStallCycles, b.overrideStallCycles);
-    EXPECT_EQ(a.btbStallCycles, b.btbStallCycles);
-    EXPECT_EQ(a.robStallCycles, b.robStallCycles);
-    EXPECT_EQ(a.flushes, b.flushes);
-    EXPECT_EQ(a.squashedUops, b.squashedUops);
-    EXPECT_EQ(a.l1iMissRate, b.l1iMissRate);
-    EXPECT_EQ(a.l1dMissRate, b.l1dMissRate);
-    EXPECT_EQ(a.l2MissRate, b.l2MissRate);
-    EXPECT_EQ(a.btbHitRate, b.btbHitRate);
-}
-
-/** A fetch predictor the grouping probe has never heard of. */
-struct UnknownFetchPredictor final : FetchPredictor
-{
-    std::string name() const override { return "unknown"; }
-    std::size_t storageBits() const override { return 8; }
-    FetchPrediction predict(Addr) override { return {}; }
-    void update(Addr, bool) override {}
-};
-
-TEST(TimingEnsemble, ProbeAcceptsHeteroRejectsUnknownAndLoneGroups)
-{
-    auto p0 = makeFetchPredictor(PredictorKind::Perceptron, 16 * 1024,
-                                 DelayMode::Overriding);
-    auto p1 = makeFetchPredictor(PredictorKind::Perceptron, 64 * 1024,
-                                 DelayMode::Overriding);
-    auto g0 = makeFetchPredictor(PredictorKind::GshareFast, 16 * 1024,
-                                 DelayMode::Ideal);
-    auto g1 = makeFetchPredictor(PredictorKind::GshareFast, 64 * 1024,
-                                 DelayMode::Overriding);
-
-    // Same wrapper + inner family across budgets batches...
-    EXPECT_TRUE(ensembleTimingBatchable({p0.get(), p1.get()}));
-    // ...including across delay modes that pick the same wrapper
-    // (gshare.fast is single-cycle under both ideal and overriding,
-    // which is how fig7 forms a cross-mode group)...
-    EXPECT_TRUE(ensembleTimingBatchable({g0.get(), g1.get()}));
-    // ...and across *different* kinds and wrapper classes: members
-    // own private cores paused at side-effect-free boundaries, so a
-    // heterogeneous group is as batchable as a uniform one (fig8's
-    // four-kind sweep). Their keys differ — that is what marks the
-    // group heterogeneous.
-    EXPECT_TRUE(ensembleTimingBatchable({p0.get(), g0.get()}));
-    EXPECT_NE(ensembleTimingGroupKey(*p0),
-              ensembleTimingGroupKey(*g0));
-    // Lone configs, empty groups and null members still refuse.
-    EXPECT_FALSE(ensembleTimingBatchable({p0.get()}));
-    EXPECT_FALSE(ensembleTimingBatchable({}));
-    EXPECT_FALSE(
-        ensembleTimingBatchable({p0.get(), nullptr}));
-
-    // Protected inners batch too: the unwrap probe peels the stock
-    // decorator chain down to the concrete table predictor, and the
-    // wrapper's scrub/bombard schedule is per-member state the
-    // member-major interleaving cannot perturb.
-    robust::ProtectionConfig prot;
-    prot.policy = robust::ProtectionPolicy::ParityInvalidate;
-    auto r0 = makeProtectedFetchPredictor(
-        PredictorKind::Gshare, 16 * 1024, DelayMode::Overriding, prot,
-        robust::FaultPlan{});
-    auto r1 = makeProtectedFetchPredictor(
-        PredictorKind::Gshare, 64 * 1024, DelayMode::Overriding, prot,
-        robust::FaultPlan{});
-    EXPECT_FALSE(ensembleTimingGroupKey(*r0).empty());
-    EXPECT_TRUE(ensembleTimingBatchable({r0.get(), r1.get()}));
-
-    // Unknown user subclasses produce an empty key and refuse — as
-    // a wrapper, and as a whole fetch predictor.
-    UnknownFetchPredictor u0;
-    UnknownFetchPredictor u1;
-    EXPECT_TRUE(ensembleTimingGroupKey(u0).empty());
-    EXPECT_FALSE(ensembleTimingBatchable({&u0, &u1}));
-    EXPECT_FALSE(ensembleTimingBatchable({p0.get(), &u0}));
-    auto su = std::make_unique<SingleCycleFetchPredictor>(
-        std::make_unique<UnknownDirectionPredictor>());
-    EXPECT_TRUE(ensembleTimingGroupKey(*su).empty());
-    EXPECT_FALSE(ensembleTimingBatchable({su.get(), g0.get()}));
-}
-
-TEST(TimingEnsemble, ReplayMatchesSerialRunTiming)
-{
-    const TraceBuffer trace = suiteTrace();
-
-    // A mixed-core group: cycle-skip on and off members replayed in
-    // ONE batch must each match their own serial runTiming exactly
-    // (the pause point is side-effect-free, so interleaving cannot
-    // perturb a member's execution).
-    CoreConfig skip;
-    CoreConfig noskip;
-    noskip.cycleSkip = false;
-    auto b0 = makeFetchPredictor(PredictorKind::GshareFast, 64 * 1024,
-                                 DelayMode::Ideal);
-    auto b1 = makeFetchPredictor(PredictorKind::GshareFast, 64 * 1024,
-                                 DelayMode::Ideal);
-    ASSERT_TRUE(ensembleTimingBatchable({b0.get(), b1.get()}));
-
-    std::vector<EnsembleTimingReplay::Member> members;
-    members.push_back({skip, b0.get()});
-    members.push_back({noskip, b1.get()});
-    EnsembleTimingReplay replay(std::move(members));
-    const std::vector<SimResult> rb = replay.run(trace);
-    ASSERT_EQ(rb.size(), 2u);
-
-    auto s0 = makeFetchPredictor(PredictorKind::GshareFast, 64 * 1024,
-                                 DelayMode::Ideal);
-    auto s1 = makeFetchPredictor(PredictorKind::GshareFast, 64 * 1024,
-                                 DelayMode::Ideal);
-    expectSameSimResult(rb[0], runTiming(skip, *s0, trace));
-    expectSameSimResult(rb[1], runTiming(noskip, *s1, trace));
-}
-
-/** The fig7-slice config list used by the suite-level timing tests:
- *  a perceptron overriding family of three budgets, a gshare.fast
- *  family of two, and one protected cell — three distinct keys that
- *  now merge into one heterogeneous group. */
-std::vector<TimingCellConfig>
-timingSweepConfigs()
-{
-    std::vector<TimingCellConfig> configs;
-    CoreConfig cfg;
-    for (const std::size_t budget :
-         {16u * 1024, 64u * 1024, 256u * 1024})
-        configs.push_back({[budget] {
-                               return makeFetchPredictor(
-                                   PredictorKind::Perceptron, budget,
-                                   DelayMode::Overriding);
-                           },
-                           kindName(PredictorKind::Perceptron),
-                           delayModeName(DelayMode::Overriding),
-                           budget,
-                           cfg});
-    for (const std::size_t budget : {16u * 1024, 64u * 1024})
-        configs.push_back({[budget] {
-                               return makeFetchPredictor(
-                                   PredictorKind::GshareFast, budget,
-                                   DelayMode::Ideal);
-                           },
-                           kindName(PredictorKind::GshareFast),
-                           delayModeName(DelayMode::Ideal),
-                           budget,
-                           cfg});
-    robust::ProtectionConfig prot;
-    prot.policy = robust::ProtectionPolicy::ParityInvalidate;
-    configs.push_back({[prot] {
-                           return makeProtectedFetchPredictor(
-                               PredictorKind::Gshare, 16 * 1024,
-                               DelayMode::Overriding, prot,
-                               robust::FaultPlan{});
-                       },
-                       "gshare.prot",
-                       delayModeName(DelayMode::Overriding),
-                       16 * 1024,
-                       cfg});
-    return configs;
-}
-
-/** Serial reference: one suiteTimingReport call per config, in list
- *  order, over the same suite. */
-void
-runTimingSerialReference(const SuiteTraces &suite,
-                         std::vector<TimingCellConfig> &configs,
-                         obs::RunReport &report,
-                         obs::MetricRegistry *metrics,
-                         obs::EventTracer *tracer = nullptr)
-{
-    for (TimingCellConfig &c : configs)
-        c.results = suiteTimingReport(
-            suite, c.cfg, c.make, &c.harmonicMeanIpc, report, c.name,
-            c.mode, c.budgetBytes, metrics, tracer);
-}
-
-TEST(TimingEnsemble, SuiteReportMatchesSerialByteForByte)
-{
-    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-
-    std::vector<TimingCellConfig> configs = timingSweepConfigs();
-    obs::RunReport batchedReport;
-    obs::MetricRegistry batchedMetrics;
-    const EnsembleStats stats = suiteTimingReportEnsemble(
-        suite, configs, batchedReport, &batchedMetrics);
-
-    // All six configs — perceptron trio, gshare.fast pair AND the
-    // protected cell — merge into one heterogeneous group: one trace
-    // pass per workload for the whole sweep.
-    EXPECT_EQ(stats.groups, 1u);
-    EXPECT_EQ(stats.batchWidth, 6u);
-    EXPECT_EQ(stats.batchedCells, 6u * suite.size());
-    EXPECT_EQ(stats.serialCells, 0u);
-    EXPECT_EQ(stats.heteroGroups, 1u);
-    EXPECT_EQ(stats.heteroWidth, 6u);
-    EXPECT_EQ(stats.heteroCells, 6u * suite.size());
-
-    std::vector<TimingCellConfig> ref = timingSweepConfigs();
-    obs::RunReport serialReport;
-    obs::MetricRegistry serialMetrics;
-    runTimingSerialReference(suite, ref, serialReport,
-                             &serialMetrics);
-
-    EXPECT_EQ(batchedReport.toJson().dump(2),
-              serialReport.toJson().dump(2));
-    EXPECT_EQ(metricsSansEnsemble(batchedMetrics),
-              metricsSansEnsemble(serialMetrics));
-    ASSERT_EQ(configs.size(), ref.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        SCOPED_TRACE(ref[i].name + "/" + ref[i].mode + "@" +
-                     std::to_string(ref[i].budgetBytes));
-        EXPECT_EQ(configs[i].harmonicMeanIpc,
-                  ref[i].harmonicMeanIpc);
-        ASSERT_EQ(configs[i].results.size(), ref[i].results.size());
-        for (std::size_t w = 0; w < ref[i].results.size(); ++w)
-            expectSameSimResult(configs[i].results[w],
-                                ref[i].results[w]);
-    }
-
-    EXPECT_EQ(
-        batchedMetrics.gauge("core.ensemble.timing.batched_cells")
-            .value(),
-        static_cast<double>(stats.batchedCells));
-    EXPECT_EQ(
-        batchedMetrics.gauge("core.ensemble.timing.batch_width")
-            .value(),
-        static_cast<double>(stats.batchWidth));
-    EXPECT_EQ(
-        batchedMetrics.gauge("core.ensemble.timing.hetero_groups")
-            .value(),
-        static_cast<double>(stats.heteroGroups));
-    EXPECT_EQ(
-        batchedMetrics.gauge("core.ensemble.timing.hetero_width")
-            .value(),
-        static_cast<double>(stats.heteroWidth));
-}
-
-TEST(TimingEnsemble, PooledSuiteReportMatchesSerial)
-{
-    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-
-    std::vector<TimingCellConfig> configs = timingSweepConfigs();
-    obs::RunReport pooledReport;
-    parallel::CellPool pool(4);
-    suiteTimingReportEnsemble(suite, configs, pooledReport, nullptr,
-                              nullptr, &pool);
-
-    std::vector<TimingCellConfig> ref = timingSweepConfigs();
-    obs::RunReport serialReport;
-    runTimingSerialReference(suite, ref, serialReport, nullptr);
-
-    // Rows are emitted config-major after the pool joins, so the
-    // report is byte-identical regardless of worker count.
-    EXPECT_EQ(pooledReport.toJson().dump(2),
-              serialReport.toJson().dump(2));
-    ASSERT_EQ(configs.size(), ref.size());
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        EXPECT_EQ(configs[i].harmonicMeanIpc,
-                  ref[i].harmonicMeanIpc);
-}
-
-TEST(TimingEnsemble, TracerForcesSerialIdenticalOutput)
-{
-    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-
-    std::vector<TimingCellConfig> configs = timingSweepConfigs();
-    obs::RunReport tracedReport;
-    obs::EventTracer tracer(1 << 12);
-    const EnsembleStats stats = suiteTimingReportEnsemble(
-        suite, configs, tracedReport, nullptr, &tracer);
-
-    // An ordered event stream cannot be interleaved: everything
-    // must have run serially.
-    EXPECT_EQ(stats.batchedCells, 0u);
-    EXPECT_EQ(stats.groups, 0u);
-    EXPECT_EQ(stats.serialCells, configs.size() * suite.size());
-
-    std::vector<TimingCellConfig> ref = timingSweepConfigs();
-    obs::RunReport serialReport;
-    obs::EventTracer serialTracer(1 << 12);
-    runTimingSerialReference(suite, ref, serialReport, nullptr,
-                             &serialTracer);
-    EXPECT_EQ(tracedReport.toJson().dump(2),
-              serialReport.toJson().dump(2));
-}
-
-/** The fig8 shape: four distinct predictor kinds, one per config —
- *  under the old per-kind grouping none of these batched. */
-std::vector<TimingCellConfig>
-fig8Configs()
-{
-    struct Row
-    {
-        PredictorKind kind;
-        std::size_t budget;
-        DelayMode mode;
-    };
-    const std::vector<Row> rows = {
-        {PredictorKind::MultiComponent, 53 * 1024,
-         DelayMode::Overriding},
-        {PredictorKind::Gskew, 64 * 1024, DelayMode::Overriding},
-        {PredictorKind::Perceptron, 64 * 1024,
-         DelayMode::Overriding},
-        {PredictorKind::GshareFast, 64 * 1024, DelayMode::Ideal},
-    };
-    std::vector<TimingCellConfig> configs;
-    CoreConfig cfg;
-    for (const Row &r : rows)
-        configs.push_back({[r] {
-                               return makeFetchPredictor(
-                                   r.kind, r.budget, r.mode);
-                           },
-                           kindName(r.kind),
-                           delayModeName(r.mode),
-                           r.budget,
-                           cfg});
-    return configs;
-}
-
-TEST(TimingEnsemble, HeteroFig8GroupMatchesSerialByteForByte)
-{
-    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-
-    std::vector<TimingCellConfig> configs = fig8Configs();
-    obs::RunReport batchedReport;
-    obs::MetricRegistry batchedMetrics;
-    const EnsembleStats stats = suiteTimingReportEnsemble(
-        suite, configs, batchedReport, &batchedMetrics);
-
-    // Four distinct kinds form ONE heterogeneous group.
-    EXPECT_EQ(stats.groups, 1u);
-    EXPECT_EQ(stats.heteroGroups, 1u);
-    EXPECT_EQ(stats.batchWidth, 4u);
-    EXPECT_EQ(stats.heteroWidth, 4u);
-    EXPECT_EQ(stats.batchedCells, 4u * suite.size());
-    EXPECT_EQ(stats.serialCells, 0u);
-    EXPECT_GE(
-        batchedMetrics.gauge("core.ensemble.timing.hetero_groups")
-            .value(),
-        1.0);
-
-    std::vector<TimingCellConfig> ref = fig8Configs();
-    obs::RunReport serialReport;
-    obs::MetricRegistry serialMetrics;
-    runTimingSerialReference(suite, ref, serialReport,
-                             &serialMetrics);
-
-    EXPECT_EQ(batchedReport.toJson().dump(2),
-              serialReport.toJson().dump(2));
-    EXPECT_EQ(metricsSansEnsemble(batchedMetrics),
-              metricsSansEnsemble(serialMetrics));
-    ASSERT_EQ(configs.size(), ref.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        SCOPED_TRACE(ref[i].name);
-        EXPECT_EQ(configs[i].harmonicMeanIpc,
-                  ref[i].harmonicMeanIpc);
-        ASSERT_EQ(configs[i].results.size(), ref[i].results.size());
-        for (std::size_t w = 0; w < ref[i].results.size(); ++w)
-            expectSameSimResult(configs[i].results[w],
-                                ref[i].results[w]);
-    }
-}
-
-TEST(TimingEnsemble, PooledHeteroFig8GroupMatchesSerial)
-{
-    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-
-    std::vector<TimingCellConfig> configs = fig8Configs();
-    obs::RunReport pooledReport;
-    parallel::CellPool pool(4);
-    const EnsembleStats stats = suiteTimingReportEnsemble(
-        suite, configs, pooledReport, nullptr, nullptr, &pool);
-    EXPECT_EQ(stats.heteroGroups, 1u);
-
-    std::vector<TimingCellConfig> ref = fig8Configs();
-    obs::RunReport serialReport;
-    runTimingSerialReference(suite, ref, serialReport, nullptr);
-
-    EXPECT_EQ(pooledReport.toJson().dump(2),
-              serialReport.toJson().dump(2));
-}
-
 TEST(EnsembleReplay, MixedWrapperSuiteReportMatchesSerial)
 {
     // Protected and fault-injected gshare variants next to a bare
@@ -903,28 +508,6 @@ TEST(EnsembleReplay, PerWorkloadFactoryMatchesEscapeHatch)
 
     EXPECT_EQ(batchedReport.toJson().dump(2),
               forcedReport.toJson().dump(2));
-}
-
-TEST(TimingEnsemble, EnvEscapeForcesSerialIdenticalOutput)
-{
-    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
-
-    std::vector<TimingCellConfig> batched = timingSweepConfigs();
-    obs::RunReport batchedReport;
-    suiteTimingReportEnsemble(suite, batched, batchedReport);
-
-    ASSERT_EQ(::setenv("BPSIM_ENSEMBLE", "0", 1), 0);
-    std::vector<TimingCellConfig> forced = timingSweepConfigs();
-    obs::RunReport forcedReport;
-    const EnsembleStats stats =
-        suiteTimingReportEnsemble(suite, forced, forcedReport);
-    ::unsetenv("BPSIM_ENSEMBLE");
-
-    EXPECT_EQ(stats.batchedCells, 0u);
-    EXPECT_EQ(stats.groups, 0u);
-    EXPECT_EQ(stats.serialCells, forced.size() * suite.size());
-    EXPECT_EQ(forcedReport.toJson().dump(2),
-              batchedReport.toJson().dump(2));
 }
 
 } // namespace

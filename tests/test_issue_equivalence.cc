@@ -5,9 +5,9 @@
  * exactly the runs of ReferenceOooCore (the per-cycle ROB scan it
  * replaced) — every SimResult field and a byte-identical traced event
  * stream — across the twelve suite workloads, the five fetch
- * wrappers, randomized core configurations (ROB sizes around the
+ * wrappers and randomized core configurations (ROB sizes around the
  * 64-bit mask word boundaries, scan windows wider than the ROB,
- * cycleSkip on and off) and batched EnsembleTimingReplay members.
+ * cycleSkip on and off).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "core/ensemble.hh"
 #include "core/factory.hh"
 #include "core/runner.hh"
 #include "obs/event_trace.hh"
@@ -230,35 +229,9 @@ TEST(IssueEquivalence, ScanWindowEdges)
     }
 }
 
-/** A caller-supplied core type for the ensemble's CoreDriver form. */
-template <class Core>
-class Driver : public CoreDriver
-{
-  public:
-    Driver(const CoreConfig &cfg, FetchPredictor &pred)
-        : core_(cfg, pred)
-    {
-    }
-    void begin(const TraceBuffer &trace) override { core_.begin(trace); }
-    void
-    advance(const TraceBuffer &trace, std::size_t fetch_target) override
-    {
-        core_.advance(trace, fetch_target);
-    }
-    SimResult finish() override { return core_.finish(); }
-
-  private:
-    Core core_;
-};
-
-/**
- * The ensemble pauses every member at fetch-index block boundaries.
- * A fig8-shaped heterogeneous group (plus two odd core
- * configurations) replayed through the stock Member form must equal
- * the same members driven as ReferenceOooCores, and a mixed group of
- * both core types must too — the paused advance() path included.
- */
-TEST(IssueEquivalence, EnsembleTimingMembers)
+/** Figure 8's four overriding-era predictors, plus two odd core
+ *  configurations under other wrappers, on every fifth workload. */
+TEST(IssueEquivalence, Fig8KindsAndOddCores)
 {
     CoreConfig small;
     small.robEntries = 65;
@@ -273,7 +246,7 @@ TEST(IssueEquivalence, EnsembleTimingMembers)
         std::size_t budget;
         DelayMode mode;
         CoreConfig cfg;
-    } members[] = {
+    } cells[] = {
         {PredictorKind::MultiComponent, 53 * 1024, DelayMode::Overriding,
          CoreConfig{}},
         {PredictorKind::Gskew, 64 * 1024, DelayMode::Overriding,
@@ -284,54 +257,16 @@ TEST(IssueEquivalence, EnsembleTimingMembers)
          CoreConfig{}},
         {PredictorKind::Gshare, 16 * 1024, DelayMode::Cascading, tiny},
     };
-    const auto build = [&] {
-        std::vector<std::unique_ptr<FetchPredictor>> owned;
-        for (const auto &m : members)
-            owned.push_back(
-                makeFetchPredictor(m.kind, m.budget, m.mode));
-        return owned;
-    };
-    // Longer than one 8K-op ensemble block, so members pause.
-    const SuiteTraces traces(20000, 42);
-    for (std::size_t w = 0; w < traces.size(); w += 5) {
-        const TraceBuffer &trace = traces.trace(w);
-
-        auto stockPreds = build();
-        std::vector<EnsembleTimingReplay::Member> stock;
-        for (std::size_t i = 0; i < stockPreds.size(); ++i)
-            stock.push_back({members[i].cfg, stockPreds[i].get()});
-        const auto got = EnsembleTimingReplay(std::move(stock)).run(trace);
-
-        auto refPreds = build();
-        std::vector<std::unique_ptr<CoreDriver>> refs;
-        for (std::size_t i = 0; i < refPreds.size(); ++i)
-            refs.push_back(std::make_unique<Driver<ReferenceOooCore>>(
-                members[i].cfg, *refPreds[i]));
-        const auto expected =
-            EnsembleTimingReplay(std::move(refs)).run(trace);
-
-        auto mixedPreds = build();
-        std::vector<std::unique_ptr<CoreDriver>> mixed;
-        for (std::size_t i = 0; i < mixedPreds.size(); ++i) {
-            if (i % 2 == 0)
-                mixed.push_back(std::make_unique<Driver<OooCore>>(
-                    members[i].cfg, *mixedPreds[i]));
-            else
-                mixed.push_back(
-                    std::make_unique<Driver<ReferenceOooCore>>(
-                        members[i].cfg, *mixedPreds[i]));
-        }
-        const auto mixedGot =
-            EnsembleTimingReplay(std::move(mixed)).run(trace);
-
-        ASSERT_EQ(got.size(), expected.size());
-        ASSERT_EQ(mixedGot.size(), expected.size());
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-            const std::string what =
-                traces.name(w) + " member " + std::to_string(i);
-            EXPECT_EQ(expected[i].instructions, trace.size()) << what;
-            expectIdentical(expected[i], got[i], what + " stock");
-            expectIdentical(expected[i], mixedGot[i], what + " mixed");
+    const SuiteTraces &s = suite();
+    for (std::size_t w = 0; w < s.size(); w += 5) {
+        for (const auto &c : cells) {
+            EXPECT_TRUE(compareCores(
+                c.cfg, s.trace(w),
+                [&c] {
+                    return makeFetchPredictor(c.kind, c.budget, c.mode);
+                },
+                describe(c.cfg) + " " + kindName(c.kind) + "/" +
+                    delayModeName(c.mode) + "/" + s.name(w)));
         }
     }
 }

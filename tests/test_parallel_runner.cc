@@ -211,18 +211,21 @@ TEST(ParallelSuite, AccuracyReportByteIdenticalAtAnyJobCount)
 TEST(ParallelSuite, TimingReportByteIdenticalAtAnyJobCount)
 {
     const SuiteTraces suite(6000, 6);
-    CoreConfig cfg;
-    const auto make = [] {
-        return std::make_unique<SingleCycleFetchPredictor>(
-            makePredictor(PredictorKind::GshareFast, 16 * 1024));
+    const auto configs = [] {
+        return std::vector<TimingCellConfig>{
+            {[] {
+                 return std::make_unique<SingleCycleFetchPredictor>(
+                     makePredictor(PredictorKind::GshareFast,
+                                   16 * 1024));
+             },
+             "gshare.fast", "ideal", 16 * 1024, CoreConfig{}}};
     };
 
     obs::RunReport serial = freshReport();
     obs::MetricRegistry serialMetrics;
-    double serialHm = -1;
-    suiteTimingReport(suite, cfg, make, &serialHm, serial,
-                      "gshare.fast", "ideal", 16 * 1024,
-                      &serialMetrics, nullptr, nullptr);
+    auto serialConfigs = configs();
+    suiteTimingReportEnsemble(suite, serialConfigs, serial,
+                              &serialMetrics);
     const std::string serialBytes = serial.toJson().dump(2);
     const std::string serialMetricBytes =
         serialMetrics.toJson().dump(2);
@@ -231,11 +234,12 @@ TEST(ParallelSuite, TimingReportByteIdenticalAtAnyJobCount)
         CellPool pool(jobs);
         obs::RunReport report = freshReport();
         obs::MetricRegistry metrics;
-        double hm = -1;
-        suiteTimingReport(suite, cfg, make, &hm, report,
-                          "gshare.fast", "ideal", 16 * 1024, &metrics,
-                          nullptr, &pool);
-        EXPECT_DOUBLE_EQ(hm, serialHm) << "jobs " << jobs;
+        auto pooled = configs();
+        suiteTimingReportEnsemble(suite, pooled, report, &metrics,
+                                  nullptr, &pool);
+        EXPECT_DOUBLE_EQ(pooled[0].harmonicMeanIpc,
+                         serialConfigs[0].harmonicMeanIpc)
+            << "jobs " << jobs;
         EXPECT_EQ(report.toJson().dump(2), serialBytes)
             << "jobs " << jobs;
         EXPECT_EQ(metrics.toJson().dump(2), serialMetricBytes)

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -506,6 +507,28 @@ TEST(SharedTracePool, BudgetedLruPinsAndEvicts)
     pool.setBudgetBytes(1);
     EXPECT_EQ(pool.pinnedBytes(), 0u);
     EXPECT_EQ(pool.stats().evictions, 3u);
+}
+
+TEST(SharedTracePool, EnvBudgetIsAWholePositiveDecimal)
+{
+    TraceCache cache; // disabled: every first fetch generates
+    // Bytes pinned after one fetch by a pool built under @p mb.
+    const auto pinnedUnder = [&](const char *mb) {
+        ::setenv("BPSIM_TRACE_POOL_MB", mb, 1);
+        SharedTracePool pool;
+        ::unsetenv("BPSIM_TRACE_POOL_MB");
+        pool.fetch("wl-a", 3000, 7, cache,
+                   [] { return syntheticTrace(3000, 7); })
+            .reset();
+        return pool.pinnedBytes();
+    };
+
+    // A well-formed budget pins the (sub-megabyte) trace...
+    EXPECT_GT(pinnedUnder("1"), 0u);
+    // ...while a malformed one keeps the unlimited default, which
+    // pins nothing, instead of truncating "1.5" to 1 MB.
+    for (const char *bad : {"1.5", "1e3", "2k", "1 ", "-1", "0", ""})
+        EXPECT_EQ(pinnedUnder(bad), 0u) << '"' << bad << '"';
 }
 
 } // namespace

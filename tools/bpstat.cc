@@ -269,11 +269,9 @@ cmdSummary(const char *dir)
             paths.push_back(entry.path().string());
     std::sort(paths.begin(), paths.end());
 
-    std::printf("%-28s %8s %12s %12s %8s %7s %13s %11s %9s %7s %8s "
-                "%11s  %s\n",
+    std::printf("%-28s %8s %12s %12s %8s %7s %13s %11s  %s\n",
                 "artifact", "rows", "wall ms", "cache hits",
                 "steals", "peak q", "batched-cells", "batch-width",
-                "t-batched", "t-width", "t-hetero", "mixed-width",
                 "file");
     std::size_t reports = 0;
     for (const auto &path : paths) {
@@ -331,36 +329,6 @@ cmdSummary(const char *dir)
             std::printf(" %11s", "-");
         else
             std::printf(" %11.0f", bwidth);
-        // Timing counterpart, stamped by suiteTimingReportEnsemble:
-        // full-core cells replayed in batched groups over one trace
-        // pass, and the widest timing group.
-        const double tbatched =
-            metricValue(r, "core.ensemble.timing.batched_cells");
-        if (std::isnan(tbatched))
-            std::printf(" %9s", "-");
-        else
-            std::printf(" %9.0f", tbatched);
-        const double twidth =
-            metricValue(r, "core.ensemble.timing.batch_width");
-        if (std::isnan(twidth))
-            std::printf(" %7s", "-");
-        else
-            std::printf(" %7.0f", twidth);
-        // Cross-kind merge: heterogeneous timing groups formed and
-        // the widest one — fig8's four kinds in one pass shows up
-        // here as t-hetero 1, mixed-width 4.
-        const double thetero =
-            metricValue(r, "core.ensemble.timing.hetero_groups");
-        if (std::isnan(thetero))
-            std::printf(" %8s", "-");
-        else
-            std::printf(" %8.0f", thetero);
-        const double mwidth =
-            metricValue(r, "core.ensemble.timing.hetero_width");
-        if (std::isnan(mwidth))
-            std::printf(" %11s", "-");
-        else
-            std::printf(" %11.0f", mwidth);
         std::printf("  %s\n", file.c_str());
 
         // Resilience view: artifacts that model protected state
@@ -466,15 +434,6 @@ cmdTimeline(const char *path)
     std::vector<SlowCell> slow;
     double minTs = HUGE_VAL, maxEnd = 0.0;
     std::size_t parsed = 0;
-    // "cell.batched" / "cell.batched.hetero" spans
-    // (suiteTimingReportEnsemble groups) nest inside pool "cell"
-    // spans, so they are tallied separately — never into busyUs,
-    // which would double-count the wall time. The hetero category
-    // marks cross-kind merged groups (fig8-shaped sweeps).
-    std::size_t batchedSpans = 0;
-    double batchedUs = 0.0, batchedMaxWidth = 0.0;
-    std::size_t heteroSpans = 0;
-    double heteroUs = 0.0, heteroMaxWidth = 0.0;
 
     for (const auto &ev : events->items()) {
         if (!ev.isObject())
@@ -531,24 +490,6 @@ cmdTimeline(const char *path)
                 sc.cell = ci->asNumber();
             sc.durUs = durUs;
             slow.push_back(std::move(sc));
-        } else if (catStr == "cell.batched" ||
-                   catStr == "cell.batched.hetero") {
-            ++batchedSpans;
-            batchedUs += durUs;
-            const auto *aobj = ev.find("args");
-            const auto *w = aobj && aobj->isObject()
-                                ? aobj->find("width")
-                                : nullptr;
-            if (w && w->isNumber())
-                batchedMaxWidth =
-                    std::max(batchedMaxWidth, w->asNumber());
-            if (catStr == "cell.batched.hetero") {
-                ++heteroSpans;
-                heteroUs += durUs;
-                if (w && w->isNumber())
-                    heteroMaxWidth =
-                        std::max(heteroMaxWidth, w->asNumber());
-            }
         }
     }
     if (parsed == 0) {
@@ -558,15 +499,6 @@ cmdTimeline(const char *path)
     const double wallUs = maxEnd > minTs ? maxEnd - minTs : 0.0;
     std::printf("%s: %zu thread(s), %zu event(s), %.1f ms wall\n",
                 path, threads.size(), parsed, wallUs / 1000.0);
-    if (batchedSpans > 0)
-        std::printf("%zu batched timing-ensemble group(s), %.1f ms, "
-                    "widest %.0f members\n",
-                    batchedSpans, batchedUs / 1000.0,
-                    batchedMaxWidth);
-    if (heteroSpans > 0)
-        std::printf("%zu cross-kind (hetero) group(s), %.1f ms, "
-                    "widest %.0f members\n",
-                    heteroSpans, heteroUs / 1000.0, heteroMaxWidth);
 
     std::printf("\n%-24s %8s %8s %10s %8s\n", "thread", "cells",
                 "steals", "busy ms", "util %");
