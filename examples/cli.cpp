@@ -13,12 +13,12 @@
  *       [--report out.json] [--trace events.jsonl]
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 
+#include "common/env.hh"
 #include "core/factory.hh"
 #include "core/runner.hh"
 #include "obs/report_session.hh"
@@ -63,6 +63,19 @@ usage(const char *argv0)
     return 2;
 }
 
+/** Set @p out to @p s parsed as a whole decimal in [lo, hi];
+ *  false (out untouched) for anything else. */
+template <class T>
+bool
+parseFlag(const char *s, std::uint64_t lo, std::uint64_t hi, T &out)
+{
+    const auto v = parseDecimal(s, hi);
+    if (!v || *v < lo)
+        return false;
+    out = static_cast<T>(*v);
+    return true;
+}
+
 } // namespace
 
 int
@@ -105,11 +118,15 @@ main(int argc, char **argv)
         } else if (arg == "--mode" && next()) {
             mode = argv[i];
         } else if (arg == "--ops" && next()) {
-            ops = static_cast<Counter>(std::atoll(argv[i]));
+            if (!parseFlag(argv[i], 1, UINT64_MAX, ops))
+                return usage(argv[0]);
         } else if (arg == "--seed" && next()) {
-            seed = static_cast<std::uint64_t>(std::atoll(argv[i]));
+            if (!parseFlag(argv[i], 0, UINT64_MAX, seed))
+                return usage(argv[0]);
         } else if (arg == "--budget-kb" && next()) {
-            budget_kb = static_cast<std::size_t>(std::atoll(argv[i]));
+            // Capped so budget_kb * 1024 cannot wrap.
+            if (!parseFlag(argv[i], 1, SIZE_MAX / 1024, budget_kb))
+                return usage(argv[0]);
         } else if (arg == "--save-trace" && next()) {
             save_trace = argv[i];
         } else if (arg == "--load-trace" && next()) {
@@ -143,7 +160,7 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(seed));
         }
         if (!save_trace.empty()) {
-            writeTrace(trace, save_trace);
+            writeTraceV3(trace, save_trace);
             std::printf("saved trace to %s\n", save_trace.c_str());
         }
     } catch (const TraceIoError &e) {

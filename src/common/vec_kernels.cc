@@ -12,7 +12,15 @@ namespace bpsim {
 // can emit one symbol per ISA plus the ifunc resolver. Both loops
 // are written so the vectorizer sees a plain reduction / elementwise
 // min-max pattern at any width.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+//
+// Not under ThreadSanitizer: GCC instruments the generated ifunc
+// resolver, which the dynamic loader runs during relocation, before
+// the TSan runtime is initialized, so every binary linking these
+// kernels segfaults before main(). no_sanitize("thread") on the
+// functions does not reach the resolver; a TSan build runs the
+// default (baseline-ISA) bodies instead.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define BPSIM_VEC_CLONES \
     __attribute__((target_clones("avx2", "default")))
 #else

@@ -300,7 +300,7 @@ publishCacheStats(obs::MetricRegistry &reg, const SuiteTraces &suite)
     reg.gauge("trace.cache.misses")
         .set(static_cast<double>(suite.cacheMisses()));
     reg.gauge("trace.cache.format_version")
-        .set(static_cast<double>(suite.cacheFormatVersion()));
+        .set(static_cast<double>(TraceCache::kFormatVersion));
 }
 
 } // namespace

@@ -161,10 +161,6 @@ class SuiteTraces
     /** Workloads generated (and stored when a cache is enabled). */
     Counter cacheMisses() const { return cacheMisses_; }
 
-    /** On-disk entry format version of the suite's trace cache
-     *  (surfaced as trace.cache.format_version in RunReports). */
-    int cacheFormatVersion() const { return cache_.formatVersion(); }
-
     /** Stamp generation parameters into @p report 's header. */
     void describe(obs::RunReport &report) const;
 

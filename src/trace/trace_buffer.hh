@@ -14,8 +14,8 @@
  * engine (src/core/ensemble) can hand the raw columns to its
  * structure-of-arrays kernels. A buffer can also be *backed*: a
  * trace loaded from a v3 columnar file (trace_io) keeps the branch
- * columns pointing straight into the mapped file — zero copy, zero
- * decode — and materializes the full micro-op stream lazily, only
+ * columns pointing straight into the file's bytes, read once into an
+ * owned buffer — zero decode — and materializes the full micro-op stream lazily, only
  * when a consumer (the timing simulator, trace rewriting, fault
  * injection) actually touches it.
  */
@@ -109,7 +109,7 @@ class BranchSpan
 
 /**
  * Backing store for a trace loaded without decoding: the v3 columnar
- * reader (trace_io) implements this over a memory-mapped file. The
+ * reader (trace_io) implements this over the file's bytes. The
  * branch columns are served in place; the op stream is decoded only
  * on demand via decodeOps(). Implementations are immutable and
  * therefore safe to share across threads.
@@ -216,7 +216,7 @@ class TraceBuffer
      * lazy scheme was a data race the moment a corrupted trace
      * reached the parallel executor before its first serial view.
      * A backed buffer detaches: the rebuilt columns are owned, not
-     * the mapped file's.
+     * the file bytes'.
      */
     void rebuildBranchView();
 
@@ -224,7 +224,7 @@ class TraceBuffer
      * Dense conditional-branch columns: the {pc, taken} stream every
      * accuracy run replays, without skipping over non-branch ops.
      * Maintained incrementally by push(); served straight from the
-     * mapped file for a backed buffer.
+     * file bytes for a backed buffer.
      *
      * The view is frozen: requesting it on a buffer left stale by
      * mutableOp() is a bug (asserted), not a trigger for a hidden
@@ -259,9 +259,9 @@ class TraceBuffer
     /**
      * Resident heap footprint estimate in bytes: op-stream and
      * owned branch-column capacities. A backed buffer whose ops are
-     * still encoded charges only what is actually materialized —
-     * the mapped file itself is page-cache, not heap, and is not
-     * counted. Used by SharedTracePool's memory budget.
+     * still encoded charges only what is actually materialized; the
+     * file bytes its backing holds are not counted. Used by
+     * SharedTracePool's memory budget.
      */
     std::size_t
     memoryBytes() const

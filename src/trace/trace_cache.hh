@@ -11,28 +11,24 @@
  *
  * keyed by workload name, trace length, generation seed and the cache
  * format version (bumped whenever trace generation or the trace file
- * format changes meaning). Entries are columnar v3 trace_io files
- * (writeTraceV3). They load as TraceReadMode::PrivateCopy, one pread
- * into an owned buffer, never memory-mapped: another process may
- * truncate a shared entry in place, which a mapping would turn into
- * SIGBUS. branchView() is served from that buffer without decoding
- * and micro-ops decode lazily, so a warm accuracy run never pays a
- * decode at all. Read-back reuses the trace_io validation, every
- * block checksum included; a corrupt entry surfaces as TraceIoError
- * and is treated as a miss. A v2 (compressed) entry left by an older
- * build migrates transparently: the first v3 miss probes the v2
- * path, decodes it, re-stores it as v3 and serves it as a hit —
- * nothing is regenerated and the v2 file is left alone for any older
- * binaries still running. load()
- * never unlinks — deleting by path would race other processes that
- * may have already replaced the entry with a good one (classic
- * check-then-act). Instead the following regeneration store()
- * overwrites the corrupt file via its atomic rename; generation is
- * deterministic per key, so even two processes healing the same
- * entry concurrently rename identical bytes into place. Writes go to
- * a process-unique temp file followed by that rename, so concurrent
- * bench binaries can share one cache directory without ever
- * observing a partial entry.
+ * format changes meaning, so entries of an older meaning are never
+ * read: they are simply other file names). Entries are trace_io
+ * files (writeTraceV3), read by readTrace into an owned buffer,
+ * never memory-mapped: another process may truncate a shared entry
+ * in place, which a mapping would turn into SIGBUS. branchView() is
+ * served from that buffer without decoding and micro-ops decode
+ * lazily, so a warm accuracy run never pays a decode at all.
+ * Read-back reuses the trace_io validation, every block checksum
+ * included; a corrupt entry surfaces as TraceIoError and is treated
+ * as a miss. load() never unlinks — deleting by path would race
+ * other processes that may have already replaced the entry with a
+ * good one (classic check-then-act). Instead the following
+ * regeneration store() overwrites the corrupt file via its atomic
+ * rename; generation is deterministic per key, so even two processes
+ * healing the same entry concurrently rename identical bytes into
+ * place. Writes go to a process-unique temp file followed by that
+ * rename, so concurrent bench binaries can share one cache directory
+ * without ever observing a partial entry.
  *
  * The cache is opt-in: it is enabled only when constructed with a
  * directory, and fromEnv() reads BPSIM_TRACE_CACHE. A disabled cache
@@ -56,35 +52,30 @@ namespace bpsim {
 class TraceCache
 {
   public:
-    /** Layout/meaning version of cache entries. Bump to invalidate
-     *  every existing cache when generation semantics change.
-     *  v2: entries switched from raw to compressed trace files.
-     *  v3: columnar mmap-able entries (zero-copy branch replay);
-     *      v2 entries migrate in place on first load. */
+    /** Layout/meaning version of cache entries, part of every entry
+     *  name. Bump it to invalidate every existing cache when trace
+     *  generation or the trace file format changes meaning. It
+     *  equals the trace file version today (3, the columnar format);
+     *  entries named under 1 (raw) or 2 (compressed) are other file
+     *  names, never read, so a cache directory shared with an older
+     *  build simply misses and regenerates. */
     static constexpr int kFormatVersion = 3;
 
     /** A disabled cache (all lookups miss, stores are no-ops). */
     TraceCache() = default;
 
     /** A cache rooted at @p dir (created on first store). */
-    explicit TraceCache(std::string dir, int format_version =
-                                             kFormatVersion);
+    explicit TraceCache(std::string dir);
 
     /** Cache at $BPSIM_TRACE_CACHE, or a disabled cache if unset. */
     static TraceCache fromEnv();
 
     bool enabled() const { return !dir_.empty(); }
     const std::string &dir() const { return dir_; }
-    int formatVersion() const { return formatVersion_; }
 
     /** Entry path for a key (valid even when disabled, for tests). */
     std::string entryPath(const std::string &workload, Counter ops,
                           std::uint64_t seed) const;
-
-    /** Entry path for a key under an explicit format version (the
-     *  migration probe and tests). */
-    std::string entryPath(const std::string &workload, Counter ops,
-                          std::uint64_t seed, int version) const;
 
     /**
      * Load the cached trace for a key. Returns nullopt on a miss or
@@ -127,7 +118,6 @@ class TraceCache
 
   private:
     std::string dir_;
-    int formatVersion_ = kFormatVersion;
 };
 
 } // namespace bpsim

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -17,10 +16,9 @@ namespace bpsim {
 namespace {
 
 constexpr char magic[8] = {'B', 'P', 'S', 'T', 'R', 'A', 'C', 'E'};
-constexpr std::uint32_t version = 1;
-constexpr std::uint32_t versionCompressed = 2;
-constexpr std::uint32_t versionColumnar = 3;
-constexpr std::size_t recordBytes = 20;
+constexpr std::uint32_t version = 3;
+/** magic, version, reserved (0), op count. */
+constexpr std::size_t headerBytes = 24;
 /** v3 sections sit at multiples of this (cache-line) alignment. */
 constexpr std::size_t v3Align = 64;
 /** v3 checksum granularity: one blockHash64 per 64 KiB block. */
@@ -29,7 +27,7 @@ constexpr std::size_t v3BlockBytes = 64 * 1024;
  *  opExtraDelta, blockSums. */
 constexpr std::size_t v3NumSections = 6;
 /** v3 directory: branchCount + section table + checksum. */
-constexpr std::size_t v3DirOffset = 24;
+constexpr std::size_t v3DirOffset = headerBytes;
 constexpr std::size_t v3DirPayloadBytes = 8 + v3NumSections * 16;
 constexpr std::size_t v3DirEnd =
     v3DirOffset + v3DirPayloadBytes + 8;
@@ -39,9 +37,6 @@ alignUp(std::size_t v, std::size_t a)
 {
     return (v + a - 1) / a * a;
 }
-/** v2: 4 packed bytes + at least 1 byte per varint. */
-constexpr std::size_t minCompressedRecordBytes = 6;
-constexpr std::size_t checksumBytes = 8;
 
 struct FileCloser
 {
@@ -184,16 +179,6 @@ unzigzag(std::uint64_t z)
     return (z >> 1) ^ (~(z & 1) + 1);
 }
 
-void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
 /** Bytes putVarint spends on @p v: ceil(bits / 7), computed as
  *  (9 * bits + 64) / 64, which is exact for 1..64 bits and cheaper
  *  than the division in the sizing pass. */
@@ -204,8 +189,8 @@ varintBytes(std::uint64_t v)
            64;
 }
 
-/** putVarint into a buffer sized by varintBytes; returns the byte
- *  past the encoding. */
+/** LEB128-encode @p v into a buffer sized by varintBytes; returns
+ *  the byte past the encoding. */
 std::uint8_t *
 putVarint(std::uint8_t *out, std::uint64_t v)
 {
@@ -235,278 +220,105 @@ getVarint(const std::uint8_t *p, std::size_t size, std::size_t &pos,
     throw TraceIoError("oversized varint in '" + path + "'");
 }
 
-} // namespace
-
-void
-writeTrace(const TraceBuffer &trace, const std::string &path)
+/** An open file descriptor, closed on scope exit. */
+struct Fd
 {
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f)
-        throw TraceIoError("cannot open '" + path + "' for writing");
-
-    std::uint8_t header[24];
-    std::memcpy(header, magic, 8);
-    putU32(header + 8, version);
-    putU32(header + 12, 0);
-    putU64(header + 16, trace.size());
-    if (std::fwrite(header, 1, sizeof(header), f.get()) !=
-        sizeof(header))
-        throw TraceIoError("short write on header");
-
-    // Buffered record writes, 4K records at a time.
-    std::vector<std::uint8_t> buf;
-    buf.reserve(4096 * recordBytes);
-    auto flush = [&] {
-        if (buf.empty())
-            return;
-        if (std::fwrite(buf.data(), 1, buf.size(), f.get()) !=
-            buf.size())
-            throw TraceIoError("short write on records");
-        buf.clear();
-    };
-
-    for (const MicroOp &op : trace) {
-        std::uint8_t rec[recordBytes];
-        putU64(rec, op.pc);
-        putU64(rec + 8, op.extra);
-        rec[16] = static_cast<std::uint8_t>(op.cls);
-        rec[17] = op.taken ? 1 : 0;
-        rec[18] = op.dst;
-        // srcA/srcB are 6-bit register ids: pack both in one byte
-        // plus the low bits of 17.
-        rec[19] = static_cast<std::uint8_t>(op.srcA & 0x3f);
-        rec[17] |= static_cast<std::uint8_t>((op.srcB & 0x3f) << 1);
-        rec[19] |= static_cast<std::uint8_t>((op.srcB & 0x40) << 1);
-        buf.insert(buf.end(), rec, rec + recordBytes);
-        if (buf.size() >= 4096 * recordBytes)
-            flush();
+    explicit Fd(const std::string &path)
+        : fd(::open(path.c_str(), O_RDONLY))
+    {
+        if (fd < 0)
+            throw TraceIoError("cannot open '" + path +
+                               "' for reading");
     }
-    flush();
-    closeWritten(f, path);
-}
+    ~Fd() { ::close(fd); }
+    Fd(const Fd &) = delete;
+    Fd &operator=(const Fd &) = delete;
 
-void
-writeTraceCompressed(const TraceBuffer &trace, const std::string &path)
-{
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f)
-        throw TraceIoError("cannot open '" + path + "' for writing");
-
-    std::uint8_t header[24];
-    std::memcpy(header, magic, 8);
-    putU32(header + 8, versionCompressed);
-    putU32(header + 12, 0);
-    putU64(header + 16, trace.size());
-    if (std::fwrite(header, 1, sizeof(header), f.get()) !=
-        sizeof(header))
-        throw TraceIoError("short write on header");
-
-    std::vector<std::uint8_t> payload;
-    payload.reserve(trace.size() * minCompressedRecordBytes +
-                    checksumBytes);
-
-    std::uint64_t prevPc = 0;
-    std::uint64_t prevExtra[6] = {};
-    for (const MicroOp &op : trace) {
-        const auto cls = static_cast<std::uint8_t>(op.cls);
-        // Same field domain as v1: srcA is 6 bits, srcB 7 bits.
-        const std::uint8_t srcA = op.srcA & 0x3f;
-        const std::uint8_t srcB = op.srcB & 0x7f;
-        const std::uint8_t b0 = static_cast<std::uint8_t>(
-            (cls & 0x07) | (op.taken ? 0x08 : 0) |
-            ((op.dst & 0x0f) << 4));
-        const std::uint8_t b1 = static_cast<std::uint8_t>(
-            ((op.dst >> 4) & 0x0f) | ((srcA & 0x0f) << 4));
-        const std::uint8_t b2 = static_cast<std::uint8_t>(
-            ((srcA >> 4) & 0x03) | ((srcB & 0x3f) << 2));
-        const std::uint8_t b3 =
-            static_cast<std::uint8_t>((srcB >> 6) & 0x01);
-        payload.push_back(b0);
-        payload.push_back(b1);
-        payload.push_back(b2);
-        payload.push_back(b3);
-        putVarint(payload, zigzag(op.pc - prevPc));
-        putVarint(payload, zigzag(op.extra - prevExtra[cls]));
-        prevPc = op.pc;
-        prevExtra[cls] = op.extra;
+    /** pread @p n bytes at @p offset; throws on error or early EOF. */
+    void
+    readAt(std::uint8_t *dst, std::size_t n, std::size_t offset,
+           const std::string &path) const
+    {
+        for (std::size_t done = 0; done < n;) {
+            const ssize_t got =
+                ::pread(fd, dst + done, n - done,
+                        static_cast<off_t>(offset + done));
+            if (got <= 0)
+                throw TraceIoError("cannot read '" + path + "'");
+            done += static_cast<std::size_t>(got);
+        }
     }
 
-    std::uint8_t sum[checksumBytes];
-    putU64(sum, fnv1a64(payload.data(), payload.size()));
-    payload.insert(payload.end(), sum, sum + checksumBytes);
-
-    if (!payload.empty() &&
-        std::fwrite(payload.data(), 1, payload.size(), f.get()) !=
-            payload.size())
-        throw TraceIoError("short write on records");
-    closeWritten(f, path);
-}
-
-namespace {
-
-TraceBuffer
-readTraceCompressed(std::FILE *f, const std::string &path,
-                    std::uint64_t count)
-{
-    if (std::fseek(f, 0, SEEK_END) != 0)
-        throw TraceIoError("cannot seek in '" + path + "'");
-    const long end = std::ftell(f);
-    if (end < 0 || static_cast<std::uint64_t>(end) < 24 + checksumBytes)
-        throw TraceIoError("truncated records in '" + path + "'");
-    const std::size_t payloadSize =
-        static_cast<std::size_t>(end) - 24 - checksumBytes;
-    // Sanity-check the declared count against the smallest possible
-    // record before reserving (see the v1 comment below).
-    if (count > payloadSize / minCompressedRecordBytes)
-        throw TraceIoError("record count in '" + path +
-                           "' exceeds file size (corrupt header?)");
-    if (std::fseek(f, 24, SEEK_SET) != 0)
-        throw TraceIoError("cannot seek in '" + path + "'");
-
-    std::vector<std::uint8_t> payload(payloadSize + checksumBytes);
-    if (!payload.empty() &&
-        std::fread(payload.data(), 1, payload.size(), f) !=
-            payload.size())
-        throw TraceIoError("truncated records in '" + path + "'");
-    const std::uint64_t want = getU64(payload.data() + payloadSize);
-    if (fnv1a64(payload.data(), payloadSize) != want)
-        throw TraceIoError("checksum mismatch in '" + path + "'");
-
-    TraceBuffer trace;
-    trace.reserve(count);
-    std::uint64_t prevPc = 0;
-    std::uint64_t prevExtra[6] = {};
-    std::size_t pos = 0;
-    for (std::uint64_t r = 0; r < count; ++r) {
-        if (pos + 4 > payloadSize)
-            throw TraceIoError("truncated records in '" + path + "'");
-        const std::uint8_t b0 = payload[pos];
-        const std::uint8_t b1 = payload[pos + 1];
-        const std::uint8_t b2 = payload[pos + 2];
-        const std::uint8_t b3 = payload[pos + 3];
-        pos += 4;
-        MicroOp op;
-        const std::uint8_t cls = b0 & 0x07;
-        if (cls > static_cast<std::uint8_t>(InstClass::UncondBranch) ||
-            (b3 & 0xfe) != 0)
-            throw TraceIoError("corrupt record in '" + path + "'");
-        op.cls = static_cast<InstClass>(cls);
-        op.taken = (b0 >> 3) & 1;
-        op.dst = static_cast<std::uint8_t>((b0 >> 4) |
-                                           ((b1 & 0x0f) << 4));
-        op.srcA =
-            static_cast<std::uint8_t>((b1 >> 4) | ((b2 & 0x03) << 4));
-        op.srcB = static_cast<std::uint8_t>(((b2 >> 2) & 0x3f) |
-                                            ((b3 & 0x01) << 6));
-        op.pc = prevPc + unzigzag(getVarint(payload.data(),
-                                            payloadSize, pos, path));
-        op.extra =
-            prevExtra[cls] + unzigzag(getVarint(payload.data(),
-                                                payloadSize, pos,
-                                                path));
-        prevPc = op.pc;
-        prevExtra[cls] = op.extra;
-        trace.push(op);
-    }
-    if (pos != payloadSize)
-        throw TraceIoError("trailing garbage in '" + path + "'");
-    return trace;
-}
-
-} // namespace
-
-// ---------------------------------------------------------------
-// v3 columnar format
-
-namespace {
+    const int fd;
+};
 
 /**
- * Read-only bytes of a whole file. Memory-mapped when requested and
- * the platform allows (the zero-copy path); read into an
- * 8-byte-aligned heap buffer otherwise. Immutable after open(), so
- * shareable across threads. Callers in shared directories must pass
- * allow_mmap = false: the heap path turns a concurrent in-place
- * truncation into a short read (a clean TraceIoError), where a
- * mapping would SIGBUS.
+ * Read-only bytes of a whole trace file in an owned 8-byte-aligned
+ * buffer, so the branch pc column can be served in place. Never
+ * memory-mapped: a mapping's pages track the inode, so another
+ * process truncating the file in place (a racing writer in a shared
+ * trace-cache directory) would turn a later access into SIGBUS,
+ * where a read turns it into a short read and a clean TraceIoError.
+ * Immutable after read(), so shareable across threads.
  */
 class FileBytes
 {
   public:
+    /**
+     * Read @p path whole. The 24-byte header is read and checked
+     * first (magic, version, reserved field), so a foreign or
+     * old-format file is rejected before a buffer the size of the
+     * file is allocated.
+     */
     static std::shared_ptr<const FileBytes>
-    open(const std::string &path, bool allow_mmap)
+    read(const std::string &path)
     {
-        auto fb = std::make_shared<FileBytes>();
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            throw TraceIoError("cannot open '" + path +
-                               "' for reading");
+        const Fd fd(path);
         struct stat st;
-        if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-            ::close(fd);
+        if (::fstat(fd.fd, &st) != 0 || st.st_size < 0)
             throw TraceIoError("cannot stat '" + path + "'");
-        }
-        fb->size_ = static_cast<std::size_t>(st.st_size);
-        if (fb->size_ > 0) {
-            void *m = allow_mmap
-                          ? ::mmap(nullptr, fb->size_, PROT_READ,
-                                   MAP_PRIVATE, fd, 0)
-                          : MAP_FAILED;
-            if (m != MAP_FAILED) {
-                fb->map_ = static_cast<const std::uint8_t *>(m);
-                fb->mapLen_ = fb->size_;
-            } else {
-                // Heap fallback, u64-backed so the branch pc column
-                // stays suitably aligned for in-place reads. Left
-                // uninitialized: pread fills every byte or throws.
-                fb->heap_ = std::make_unique_for_overwrite<
-                    std::uint64_t[]>((fb->size_ + 7) / 8);
-                std::size_t done = 0;
-                auto *dst =
-                    reinterpret_cast<std::uint8_t *>(fb->heap_.get());
-                while (done < fb->size_) {
-                    const ssize_t n =
-                        ::pread(fd, dst + done, fb->size_ - done,
-                                static_cast<off_t>(done));
-                    if (n <= 0) {
-                        ::close(fd);
-                        throw TraceIoError("cannot read '" + path +
-                                           "'");
-                    }
-                    done += static_cast<std::size_t>(n);
-                }
-            }
-        }
-        ::close(fd);
+        const auto size = static_cast<std::size_t>(st.st_size);
+
+        std::uint8_t header[headerBytes];
+        if (size < headerBytes)
+            throw TraceIoError("truncated header in '" + path + "'");
+        fd.readAt(header, headerBytes, 0, path);
+        if (std::memcmp(header, magic, 8) != 0)
+            throw TraceIoError("'" + path + "' is not a bpsim trace");
+        if (const std::uint32_t v = getU32(header + 8); v != version)
+            throw TraceIoError("unsupported trace version " +
+                               std::to_string(v) + " in '" + path +
+                               "' (this build reads version " +
+                               std::to_string(version) + " only)");
+        if (getU32(header + 12) != 0)
+            throw TraceIoError("corrupt header in '" + path + "'");
+
+        // Left uninitialized: the header copy and readAt fill every
+        // byte or throw.
+        auto fb = std::make_shared<FileBytes>();
+        fb->bytes_ = std::make_unique_for_overwrite<std::uint64_t[]>(
+            (size + 7) / 8);
+        fb->size_ = size;
+        auto *dst = reinterpret_cast<std::uint8_t *>(fb->bytes_.get());
+        std::memcpy(dst, header, headerBytes);
+        fd.readAt(dst + headerBytes, size - headerBytes, headerBytes,
+                  path);
         return fb;
     }
-
-    ~FileBytes()
-    {
-        if (map_)
-            ::munmap(const_cast<std::uint8_t *>(map_), mapLen_);
-    }
-
-    FileBytes() = default;
-    FileBytes(const FileBytes &) = delete;
-    FileBytes &operator=(const FileBytes &) = delete;
 
     const std::uint8_t *
     data() const
     {
-        return map_ ? map_
-                    : reinterpret_cast<const std::uint8_t *>(
-                          heap_.get());
+        return reinterpret_cast<const std::uint8_t *>(bytes_.get());
     }
     std::size_t size() const { return size_; }
 
   private:
-    const std::uint8_t *map_ = nullptr;
-    std::size_t mapLen_ = 0;
-    std::unique_ptr<std::uint64_t[]> heap_;
+    std::unique_ptr<std::uint64_t[]> bytes_;
     std::size_t size_ = 0;
 };
 
-/** Pack one op's non-delta fields into v2/v3's 4 meta bytes. */
+/** Pack one op's non-delta fields into its 4 meta bytes. */
 void
 packOpMeta(const MicroOp &op, std::uint8_t out[4])
 {
@@ -620,21 +432,16 @@ class V3Backing final : public TraceBacking
     V3Section sec_[v3NumSections];
 };
 
+} // namespace
+
 TraceBuffer
-readTraceV3(const std::string &path, bool allow_mmap)
+readTrace(const std::string &path)
 {
-    auto bytes = FileBytes::open(path, allow_mmap);
+    auto bytes = FileBytes::read(path);
     const std::uint8_t *p = bytes->data();
     const std::size_t fileSize = bytes->size();
     if (fileSize < v3DirEnd)
         throw TraceIoError("truncated header in '" + path + "'");
-    if (std::memcmp(p, magic, 8) != 0)
-        throw TraceIoError("'" + path + "' is not a bpsim trace");
-    if (getU32(p + 8) != versionColumnar)
-        throw TraceIoError("unsupported trace version in '" + path +
-                           "'");
-    if (getU32(p + 12) != 0)
-        throw TraceIoError("corrupt header in '" + path + "'");
     const std::uint64_t count64 = getU64(p + 16);
 
     // Directory: checksummed, then cross-checked structurally — the
@@ -681,7 +488,9 @@ readTraceV3(const std::string &path, bool allow_mmap)
     std::size_t cursor = v3DirEnd;
     for (std::size_t i = 0; i < v3NumSections; ++i) {
         const std::size_t expect = alignUp(cursor, v3Align);
-        if (sec[i].offset != expect ||
+        // expect > fileSize first: the padding below is read up to
+        // expect, and fileSize - expect must not wrap.
+        if (sec[i].offset != expect || expect > fileSize ||
             sec[i].size > fileSize - expect)
             throw TraceIoError("corrupt section table in '" + path +
                                "'");
@@ -731,8 +540,6 @@ readTraceV3(const std::string &path, bool allow_mmap)
     }
     return trace;
 }
-
-} // namespace
 
 void
 writeTraceV3(const TraceBuffer &trace, const std::string &path)
@@ -818,7 +625,7 @@ writeTraceV3(const TraceBuffer &trace, const std::string &path)
     }
 
     std::memcpy(img, magic, 8);
-    putU32(img + 8, versionColumnar);
+    putU32(img + 8, version);
     putU32(img + 12, 0);
     putU64(img + 16, trace.size());
     putU64(img + v3DirOffset, branches);
@@ -835,81 +642,6 @@ writeTraceV3(const TraceBuffer &trace, const std::string &path)
     if (std::fwrite(img, 1, fileSize, f.get()) != fileSize)
         throw TraceIoError("short write on records");
     closeWritten(f, path);
-}
-
-TraceBuffer
-readTrace(const std::string &path, TraceReadMode mode)
-{
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        throw TraceIoError("cannot open '" + path + "' for reading");
-
-    std::uint8_t header[24];
-    if (std::fread(header, 1, sizeof(header), f.get()) !=
-        sizeof(header))
-        throw TraceIoError("truncated header in '" + path + "'");
-    if (std::memcmp(header, magic, 8) != 0)
-        throw TraceIoError("'" + path + "' is not a bpsim trace");
-    const std::uint32_t ver = getU32(header + 8);
-    const std::uint64_t count = getU64(header + 16);
-    if (ver == versionCompressed)
-        return readTraceCompressed(f.get(), path, count);
-    if (ver == versionColumnar) {
-        f.reset(); // re-opened (and possibly mapped) by the v3 loader
-        return readTraceV3(path,
-                           mode == TraceReadMode::ZeroCopy);
-    }
-    if (ver != version)
-        throw TraceIoError("unsupported trace version in '" + path +
-                           "'");
-
-    // Validate the declared count against the actual file size
-    // before reserving: a corrupt count field must produce a clean
-    // TraceIoError, not a multi-gigabyte allocation.
-    if (std::fseek(f.get(), 0, SEEK_END) != 0)
-        throw TraceIoError("cannot seek in '" + path + "'");
-    const long end = std::ftell(f.get());
-    if (end < 0)
-        throw TraceIoError("cannot seek in '" + path + "'");
-    const std::uint64_t payload =
-        static_cast<std::uint64_t>(end) - sizeof(header);
-    if (count > payload / recordBytes)
-        throw TraceIoError(
-            "record count in '" + path +
-            "' exceeds file size (corrupt header?)");
-    if (std::fseek(f.get(), sizeof(header), SEEK_SET) != 0)
-        throw TraceIoError("cannot seek in '" + path + "'");
-
-    TraceBuffer trace;
-    trace.reserve(count);
-    std::vector<std::uint8_t> buf(4096 * recordBytes);
-    std::uint64_t remaining = count;
-    while (remaining > 0) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining, 4096));
-        const std::size_t got = std::fread(
-            buf.data(), recordBytes, want, f.get());
-        if (got == 0)
-            throw TraceIoError("truncated records in '" + path + "'");
-        for (std::size_t r = 0; r < got; ++r) {
-            const std::uint8_t *rec = buf.data() + r * recordBytes;
-            MicroOp op;
-            op.pc = getU64(rec);
-            op.extra = getU64(rec + 8);
-            op.cls = static_cast<InstClass>(rec[16]);
-            if (rec[16] > static_cast<std::uint8_t>(
-                              InstClass::UncondBranch))
-                throw TraceIoError("corrupt record in '" + path + "'");
-            op.taken = rec[17] & 1;
-            op.dst = rec[18];
-            op.srcA = rec[19] & 0x3f;
-            op.srcB = static_cast<std::uint8_t>(
-                ((rec[17] >> 1) & 0x3f) | ((rec[19] >> 1) & 0x40));
-            trace.push(op);
-        }
-        remaining -= got;
-    }
-    return trace;
 }
 
 } // namespace bpsim

@@ -370,26 +370,28 @@ TEST(ParallelHardened, DeadlineExhaustionAnnotatesSerialExact)
 
     robust::RetryPolicy retry;
     retry.maxAttempts = 3;
+    // The two slow cells retry on different workers, so the fake
+    // sleeper's count is shared between threads.
     const auto runCampaign = [&](parallel::CellPool *pool,
                                  obs::RunReport &report,
-                                 unsigned &sleeps) {
+                                 std::atomic<unsigned> &sleeps) {
         robust::HardenedSuiteRunner runner(
             "", retry, std::chrono::milliseconds{1}, pool);
-        unsigned *count = &sleeps;
+        std::atomic<unsigned> *count = &sleeps;
         runner.setSleeper(
             [count](std::chrono::milliseconds) { ++*count; });
         return runner.run(buildCells(), report);
     };
 
     obs::RunReport serial = freshReport();
-    unsigned serialSleeps = 0;
+    std::atomic<unsigned> serialSleeps{0};
     const auto serialSummary =
         runCampaign(nullptr, serial, serialSleeps);
     EXPECT_EQ(serialSummary.completed, 6u);
     EXPECT_EQ(serialSummary.failed, 2u);
     EXPECT_EQ(serialSummary.retries, 4u); // 2 cells x 2 extra tries
     // Retries backed off through the fake sleeper, never for real.
-    EXPECT_EQ(serialSleeps, 4u);
+    EXPECT_EQ(serialSleeps.load(), 4u);
 
     ASSERT_EQ(serial.annotations.size(), 2u);
     EXPECT_EQ(serial.annotations[0].message,
@@ -399,13 +401,13 @@ TEST(ParallelHardened, DeadlineExhaustionAnnotatesSerialExact)
 
     CellPool pool(4);
     obs::RunReport parallelReport = freshReport();
-    unsigned parallelSleeps = 0;
+    std::atomic<unsigned> parallelSleeps{0};
     const auto summary =
         runCampaign(&pool, parallelReport, parallelSleeps);
     EXPECT_EQ(summary.completed, serialSummary.completed);
     EXPECT_EQ(summary.failed, serialSummary.failed);
     EXPECT_EQ(summary.retries, serialSummary.retries);
-    EXPECT_EQ(parallelSleeps, serialSleeps);
+    EXPECT_EQ(parallelSleeps.load(), serialSleeps.load());
     EXPECT_EQ(parallelReport.toJson().dump(2),
               serial.toJson().dump(2));
 }

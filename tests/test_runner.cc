@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "core/factory.hh"
 #include "obs/event_trace.hh"
 #include "obs/metrics.hh"
@@ -115,7 +116,7 @@ timingOracle(const SuiteTraces &suite,
     metrics.gauge("trace.cache.misses")
         .set(static_cast<double>(suite.cacheMisses()));
     metrics.gauge("trace.cache.format_version")
-        .set(static_cast<double>(suite.cacheFormatVersion()));
+        .set(static_cast<double>(TraceCache::kFormatVersion));
     for (TimingCellConfig &c : configs) {
         c.results.clear();
         std::vector<double> ipcs;
@@ -357,6 +358,20 @@ TEST(BenchOps, EnvironmentOverride)
             << '"' << bad << '"';
     }
     unsetenv("BPSIM_OPS_PER_WORKLOAD");
+}
+
+TEST(ParseDecimal, AcceptsOnlyWholeDecimalsUpToTheBound)
+{
+    EXPECT_EQ(parseDecimal("0"), 0u);
+    EXPECT_EQ(parseDecimal("42"), 42u);
+    EXPECT_EQ(parseDecimal("007"), 7u);
+    EXPECT_EQ(parseDecimal("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseDecimal("64", 64), 64u);
+    for (const char *bad :
+         {"", "-5", "+5", "1e6", "400k", "1.5", "12 ", " 12", "0x10",
+          "18446744073709551616", "99999999999999999999999"})
+        EXPECT_EQ(parseDecimal(bad), std::nullopt) << '"' << bad << '"';
+    EXPECT_EQ(parseDecimal("65", 64), std::nullopt);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the on-disk trace cache: miss-then-hit, corruption
- * recovery, format-version invalidation, key separation, and the
+ * recovery, stale-version entries, key separation, and the
  * SuiteTraces hit/miss accounting the benches surface as metrics.
  */
 
@@ -163,19 +163,6 @@ TEST(TraceCache, WrongLengthEntryIsRejected)
     fs::remove_all(dir);
 }
 
-TEST(TraceCache, FormatVersionBumpInvalidates)
-{
-    const std::string dir = freshCacheDir("trace_cache_version");
-    TraceCache v1(dir, 1);
-    TraceCache v2(dir, 2);
-    EXPECT_NE(v1.entryPath("wl", 60, 2), v2.entryPath("wl", 60, 2));
-
-    ASSERT_TRUE(v1.store("wl", 60, 2, syntheticTrace(60, 2)));
-    EXPECT_TRUE(v1.load("wl", 60, 2).has_value());
-    EXPECT_FALSE(v2.load("wl", 60, 2).has_value());
-    fs::remove_all(dir);
-}
-
 TEST(TraceCache, UnsupportedVersionEntryIsIgnoredAndHealed)
 {
     const std::string dir = freshCacheDir("trace_cache_futurever");
@@ -209,68 +196,86 @@ TEST(TraceCache, UnsupportedVersionEntryIsIgnoredAndHealed)
     fs::remove_all(dir);
 }
 
-TEST(TraceCache, V2EntryMigratesToV3OnFirstLoad)
+TEST(TraceCache, StaleV2EntryIsAMissAndIsLeftAlone)
 {
-    // An entry left by an older (v2-format) build: the first load
-    // under the current version decodes it, re-stores it as v3 and
-    // serves it as a hit — no regeneration, and the v2 file stays
-    // for older binaries sharing the cache dir.
-    const std::string dir = freshCacheDir("trace_cache_migrate");
-    TraceCache old(dir, 2);
-    ASSERT_TRUE(old.store("wl", 90, 4, syntheticTrace(90, 4)));
-
+    // An entry an older build stored under cache version 2: this
+    // build never reads it (it is another file name), so the key
+    // misses, the trace is regenerated and stored under the current
+    // version, and the old file stays byte for byte for any older
+    // binary still sharing the directory.
+    const std::string dir = freshCacheDir("trace_cache_stale_v2");
     TraceCache cache(dir);
-    ASSERT_GE(cache.formatVersion(), 3);
-    ASSERT_FALSE(fs::exists(cache.entryPath("wl", 90, 4)));
+    const std::string current = cache.entryPath("wl", 90, 4);
+    const std::string suffix =
+        "_v" + std::to_string(TraceCache::kFormatVersion) + ".bptrace";
+    ASSERT_EQ(TraceCache::kFormatVersion, 3);
+    ASSERT_EQ(current.substr(current.size() - suffix.size()), suffix);
+    const std::string stale =
+        current.substr(0, current.size() - suffix.size()) +
+        "_v2.bptrace";
+
+    // A v2 header (version 2, reserved 0, 90 records) and payload.
+    const unsigned char header[24] = {'B', 'P', 'S', 'T', 'R', 'A',
+                                      'C', 'E', 2,   0,   0,   0,
+                                      0,   0,   0,   0,   90};
+    const std::string staleBytes =
+        std::string(reinterpret_cast<const char *>(header),
+                    sizeof(header)) +
+        "an old compressed payload";
+    {
+        std::FILE *f = std::fopen(stale.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(staleBytes.size(), std::fwrite(staleBytes.data(), 1,
+                                                 staleBytes.size(), f));
+        std::fclose(f);
+    }
 
     int generated = 0;
-    bool hit = false;
-    const TraceBuffer migrated = cache.fetch(
+    bool hit = true;
+    const TraceBuffer t = cache.fetch(
         "wl", 90, 4,
         [&] {
             ++generated;
             return syntheticTrace(90, 4);
         },
         &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(generated, 0);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(generated, 1);
+    EXPECT_EQ(t.size(), 90u);
+    EXPECT_TRUE(fs::exists(current));
 
-    const TraceBuffer expect = syntheticTrace(90, 4);
-    ASSERT_EQ(migrated.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(migrated[i].pc, expect[i].pc);
-        EXPECT_EQ(migrated[i].taken, expect[i].taken);
-    }
+    std::FILE *f = std::fopen(stale.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string after(staleBytes.size() + 1, '\0');
+    after.resize(std::fread(after.data(), 1, after.size(), f));
+    std::fclose(f);
+    EXPECT_EQ(after, staleBytes);
 
-    // Both entries exist now; the next load maps the v3 one.
-    EXPECT_TRUE(fs::exists(cache.entryPath("wl", 90, 4)));
-    EXPECT_TRUE(fs::exists(cache.entryPath("wl", 90, 4, 2)));
     const auto warm = cache.load("wl", 90, 4);
     ASSERT_TRUE(warm.has_value());
-    EXPECT_FALSE(warm->opsMaterialized()); // v3: mapped, not decoded
+    EXPECT_FALSE(warm->opsMaterialized());
     fs::remove_all(dir);
 }
 
 TEST(TraceCache, CacheEntriesShrinkSuiteAtLeast2x)
 {
     // The compression claim, measured on the real 12-workload suite:
-    // cache entries (columnar v3: delta+varint op stream plus the
-    // raw branch columns) must be at least half the size of the same
-    // traces in the v1 fixed-record format.
+    // cache entries (columnar: delta+varint op stream plus the raw
+    // branch columns) must be at least half the size of the same
+    // traces as fixed 20-byte records (pc, extra, and 4 bytes of
+    // class, flags and registers per op; the retired raw format).
     const std::string dir = freshCacheDir("trace_cache_shrink");
     const Counter ops = 20000;
     const SuiteTraces suite(ops, 42, nullptr, TraceCache(dir));
     TraceCache cache(dir);
 
     std::uintmax_t rawTotal = 0, packedTotal = 0;
-    const std::string rawPath = dir + "/raw_tmp.bpt";
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const std::string entry =
             cache.entryPath(suite.name(i), ops, 42);
         ASSERT_TRUE(fs::exists(entry)) << suite.name(i);
         packedTotal += fs::file_size(entry);
-        writeTrace(suite.trace(i), rawPath);
-        rawTotal += fs::file_size(rawPath);
+        rawTotal += 20 * suite.trace(i).size();
     }
     EXPECT_GE(rawTotal, 2 * packedTotal)
         << "raw " << rawTotal << " vs compressed " << packedTotal;
