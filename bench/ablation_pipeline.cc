@@ -160,19 +160,19 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     // --- staleness sensitivity ----------------------------------------
     ctx.printf("\ngshare.fast (64KB) mean misprediction vs row "
                "staleness:\n%-12s %-12s\n", "staleness", "misp (%)");
-    for (unsigned lag : {0u, 1u, 3u, 6u, 10u}) {
-        double mean = 0;
-        suiteAccuracyReport(
-            suite,
-            [&] {
+    const std::vector<unsigned> lags = {0, 1, 3, 6, 10};
+    std::vector<AccuracyCellConfig> stale;
+    for (const unsigned lag : lags)
+        stale.emplace_back(
+            [lag] {
                 return std::make_unique<GshareFastPredictor>(
                     std::size_t{1} << 18, lag, 0);
             },
-            &mean, ctx.report(),
-            "gshare.fast(lag=" + std::to_string(lag) + ")", 64 * 1024,
-            ctx.metricsIfEnabled(), ctx.pool());
-        ctx.printf("%-12u %-12.2f\n", lag, mean);
-    }
+            "gshare.fast(lag=" + std::to_string(lag) + ")", 64 * 1024);
+    suiteAccuracyReportEnsemble(suite, stale, ctx.report(),
+                                ctx.metricsIfEnabled(), ctx.pool());
+    for (std::size_t i = 0; i < lags.size(); ++i)
+        ctx.printf("%-12u %-12.2f\n", lags[i], stale[i].meanPercent);
     ctx.printf("\nPaper reference: stale fetch history has "
                "\"minimal impact\" (Section 3.3.1).\n");
     return 0;

@@ -348,13 +348,16 @@ BM_CellPoolSuiteAccuracy(benchmark::State &state)
     Counter cells = 0;
     for (auto _ : state) {
         parallel::CellPool pool(jobs);
-        for (auto kind : kinds) {
-            const auto res = suiteAccuracy(
-                suite, [&] { return makePredictor(kind, 64 * 1024); },
-                nullptr, &pool);
-            benchmark::DoNotOptimize(res.data());
-            cells += res.size();
-        }
+        std::vector<AccuracyCellConfig> configs;
+        for (auto kind : kinds)
+            configs.emplace_back(
+                [kind] { return makePredictor(kind, 64 * 1024); },
+                kindName(kind), 64 * 1024);
+        obs::RunReport report;
+        suiteAccuracyReportEnsemble(suite, configs, report, nullptr,
+                                    &pool);
+        benchmark::DoNotOptimize(report.rows.data());
+        cells += report.rows.size();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(cells));
     state.SetLabel("jobs=" + std::to_string(jobs));

@@ -104,12 +104,10 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     robust::HardenedRunSummary summary;
     if (ctx.manifestPath().empty()) {
         // No manifest, no resume granularity to honour: run the
-        // whole surface through the batched ensemble engines. Every
-        // (budget, rate, policy) cell is a protected gshare variant
-        // of the same inner kind, so the engine forms one
-        // mixed-wrapper group per budget and streams each workload's
-        // branch columns once per group instead of once per cell
-        // (rows stay byte-identical — BPSIM_ENSEMBLE=0 A/B-tested).
+        // whole surface through the cell-list sweeps. Every
+        // (budget, rate, policy) cell is a protected gshare, which
+        // the ensemble probe refuses, so each replays as its own
+        // serial cell; the rows equal the manifest path's.
         // The injector fires every 256 updates; scrubbing sweeps
         // every 2048, so eight injection events ride inside one
         // scrub window.

@@ -79,12 +79,10 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     robust::HardenedRunSummary summary;
     if (ctx.manifestPath().empty()) {
         // No manifest, no resume granularity to honour: run the
-        // sweep through the batched ensemble engines. All five rates
-        // of one kind are fault-injected wrappers of the same inner
-        // type, so each kind's rates replay as one mixed-wrapper
-        // group per workload; the gshare.fast timing slice batches
-        // its five rates as one group too. Rows stay byte-identical
-        // (BPSIM_ENSEMBLE=0 A/B-tested).
+        // sweep through the cell-list sweeps. Every cell is a
+        // fault-injected predictor, which the ensemble probe
+        // refuses, so each replays as its own serial cell; the rows
+        // equal the manifest path's.
         std::vector<AccuracyCellConfig> acc;
         for (std::size_t ki = 0; ki < kinds.size(); ++ki) {
             for (std::size_t ri = 0; ri < rates.size(); ++ri) {

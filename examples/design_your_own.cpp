@@ -109,14 +109,21 @@ main()
     std::printf("%-12s %12s %12s\n", "benchmark", "gshare(%)",
                 "agree(%)");
 
-    double gshare_mean = 0, agree_mean = 0;
-    const auto gshare_res = suiteAccuracy(
-        suite,
+    // One accuracy sweep over both configurations: the library's
+    // gshare and the custom predictor, each built fresh per workload.
+    std::vector<AccuracyCellConfig> configs;
+    configs.emplace_back(
         [] { return makePredictor(PredictorKind::Gshare, 16 * 1024); },
-        &gshare_mean);
-    const auto agree_res = suiteAccuracy(
-        suite, [] { return std::make_unique<AgreePredictor>(1 << 16); },
-        &agree_mean);
+        "gshare", 16 * 1024);
+    configs.emplace_back(
+        [] { return std::make_unique<AgreePredictor>(1 << 16); },
+        "agree", 16 * 1024);
+    obs::RunReport report;
+    suiteAccuracyReportEnsemble(suite, configs, report);
+    const auto &gshare_res = configs[0].results;
+    const auto &agree_res = configs[1].results;
+    const double gshare_mean = configs[0].meanPercent;
+    const double agree_mean = configs[1].meanPercent;
 
     for (std::size_t i = 0; i < suite.size(); ++i)
         std::printf("%-12s %12.2f %12.2f\n", suite.name(i).c_str(),

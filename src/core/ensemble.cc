@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <typeinfo>
 
 #include "common/bitutil.hh"
@@ -10,65 +11,10 @@
 #include "core/dispatch.hh"
 #include "predictors/multicomponent.hh"
 #include "predictors/perceptron.hh"
-#include "robust/fault_injector.hh"
-#include "robust/protection.hh"
 
 namespace bpsim {
 
 namespace {
-
-/**
- * One wrapper's post-update tail, to be re-fired per member inside
- * the batched loop. Kept std::function-free: a two-way kind switch
- * over the stock robustness decorators, both resolved to direct
- * (inlineable) calls on the concrete wrapper type.
- */
-struct ReplayHook
-{
-    enum class Kind : std::uint8_t { Fault, Protect };
-
-    Kind kind;
-    void *wrapper;
-
-    void
-    fire() const
-    {
-        if (kind == Kind::Fault)
-            static_cast<robust::FaultInjectingPredictor *>(wrapper)
-                ->afterInnerUpdate();
-        else
-            static_cast<robust::ProtectedPredictor *>(wrapper)
-                ->afterInnerUpdate();
-    }
-};
-
-/**
- * Peel the stock robustness decorators off @p p and return the
- * innermost predictor. Each peeled wrapper appends its post-update
- * hook to @p hooks when non-null (outermost first — callers fire them
- * in reverse, matching the nested update() call order: innermost tail
- * first).
- */
-DirectionPredictor *
-unwrapDirection(DirectionPredictor *p, std::vector<ReplayHook> *hooks)
-{
-    for (;;) {
-        if (auto *f =
-                dynamic_cast<robust::FaultInjectingPredictor *>(p)) {
-            if (hooks)
-                hooks->push_back({ReplayHook::Kind::Fault, f});
-            p = &f->inner();
-            continue;
-        }
-        if (auto *pr = dynamic_cast<robust::ProtectedPredictor *>(p)) {
-            if (hooks)
-                hooks->push_back({ReplayHook::Kind::Protect, pr});
-            p = &pr->inner();
-            continue;
-        }
-        return p;
-    }
-}
 
 /**
  * The generic batched loop, blocked member-major: each member
@@ -108,68 +54,6 @@ genericEnsembleLoop(const std::vector<Pred *> &members,
                 const bool predicted = p->predict(pcs[i]);
                 p->update(pcs[i], taken);
                 m += predicted != taken ? 1 : 0;
-            }
-            misp[j] += m;
-        }
-    }
-    std::vector<AccuracyResult> results(width);
-    for (std::size_t j = 0; j < width; ++j) {
-        results[j].branches = static_cast<Counter>(n);
-        results[j].mispredictions = misp[j];
-    }
-    return results;
-}
-
-/**
- * The mixed-wrapper variant of the generic loop: members share one
- * inner concrete type (predict/update inline as usual) but may carry
- * per-member wrapper hooks, fired after every update exactly where
- * the serial wrapper.update() would have fired them. A member's
- * hooks read and mutate only that member's own wrapper state
- * (injector RNG, update counters, protection ledger) and the
- * member's own inner predictor, so the member-major block order
- * produces the identical flip/repair stream per member as a serial
- * run. Members without hooks (bare cells sharing a group with
- * protected siblings) take the plain tight loop per block.
- */
-template <typename Pred>
-std::vector<AccuracyResult>
-hookedEnsembleLoop(const std::vector<Pred *> &inners,
-                   const std::vector<std::vector<ReplayHook>> &hooks,
-                   const BranchSpan &view)
-{
-    constexpr std::size_t kBlock = 16384;
-    const std::size_t width = inners.size();
-    const std::size_t n = view.size();
-    const Addr *pcs = view.pcData();
-    const std::uint8_t *takens = view.takenData();
-    std::vector<Counter> misp(width, 0);
-    for (std::size_t base = 0; base < n; base += kBlock) {
-        const std::size_t end = std::min(n, base + kBlock);
-        for (std::size_t j = 0; j < width; ++j) {
-            Pred *const p = inners[j];
-            const ReplayHook *hb = hooks[j].data();
-            const std::size_t nh = hooks[j].size();
-            Counter m = 0;
-            if (nh == 0) {
-                for (std::size_t i = base; i < end; ++i) {
-                    const bool taken = takens[i] != 0;
-                    const bool predicted = p->predict(pcs[i]);
-                    p->update(pcs[i], taken);
-                    m += predicted != taken ? 1 : 0;
-                }
-            } else {
-                for (std::size_t i = base; i < end; ++i) {
-                    const bool taken = takens[i] != 0;
-                    const bool predicted = p->predict(pcs[i]);
-                    p->update(pcs[i], taken);
-                    // Innermost wrapper's tail first (hooks are
-                    // collected outermost-first), matching the
-                    // nested update() unwind order.
-                    for (std::size_t k = nh; k-- > 0;)
-                        hb[k].fire();
-                    m += predicted != taken ? 1 : 0;
-                }
             }
             misp[j] += m;
         }
@@ -491,74 +375,48 @@ struct MulticomponentBatch
     }
 };
 
-const std::type_info *
-ensembleAccuracyInnerType(DirectionPredictor &member)
-{
-    DirectionPredictor *inner = unwrapDirection(&member, nullptr);
-    if (!withConcretePredictor(*inner, [](auto &) {}))
-        return nullptr;
-    return &typeid(*inner);
-}
-
 bool
 ensembleBatchable(const std::vector<DirectionPredictor *> &members)
 {
     if (members.size() < 2 || members[0] == nullptr)
         return false;
-    // Members may differ in wrapper chains but must share one known
-    // concrete inner type; unknown user predictors fail here and
-    // stay on the serial path.
-    const std::type_info *t = ensembleAccuracyInnerType(*members[0]);
-    if (t == nullptr)
-        return false;
+    // One known concrete type for every member: wrapped members and
+    // unknown user predictors fail here and stay on the serial path.
+    const std::type_info &t = typeid(*members[0]);
     for (DirectionPredictor *p : members)
-        if (p == nullptr || ensembleAccuracyInnerType(*p) != t)
+        if (p == nullptr || typeid(*p) != t)
             return false;
-    return true;
+    return withConcretePredictor(*members[0], [](auto &) {});
 }
 
 std::vector<AccuracyResult>
 runAccuracyEnsemble(const std::vector<DirectionPredictor *> &members,
                     const TraceBuffer &trace)
 {
+    for (const DirectionPredictor *p : members)
+        if (p == nullptr)
+            throw std::invalid_argument(
+                "runAccuracyEnsemble: null member");
     if (members.empty())
         return {};
     const BranchSpan view = trace.branchView();
-    // The monomorphizing cast below requires a uniform known inner
-    // type; re-verify instead of trusting the caller (a mixed group
-    // would be undefined behaviour, not just slow). Anything the
-    // probe refuses falls back to the virtual loop on the original
-    // wrapped members, which is always correct.
-    const std::size_t width = members.size();
-    std::vector<DirectionPredictor *> inners(width);
-    std::vector<std::vector<ReplayHook>> hooks(width);
-    bool anyHooks = false;
-    for (std::size_t j = 0; j < width; ++j) {
-        if (members[j] == nullptr)
-            return genericEnsembleLoop(members, view);
-        inners[j] = unwrapDirection(members[j], &hooks[j]);
-        anyHooks = anyHooks || !hooks[j].empty();
-    }
-    const std::type_info &t0 = typeid(*inners[0]);
-    for (DirectionPredictor *p : inners)
+    // The monomorphizing cast below requires one known concrete type;
+    // re-verify instead of trusting the caller (a mixed group would
+    // be undefined behaviour, not just slow). Anything else — mixed
+    // types, wrapped or unknown predictors — falls back to the
+    // virtual loop, which is always correct.
+    const std::type_info &t0 = typeid(*members[0]);
+    for (DirectionPredictor *p : members)
         if (typeid(*p) != t0)
             return genericEnsembleLoop(members, view);
     std::vector<AccuracyResult> results;
     const bool matched =
-        withConcretePredictor(*inners[0], [&](auto &firstInner) {
-            using P = std::decay_t<decltype(firstInner)>;
+        withConcretePredictor(*members[0], [&](auto &first) {
+            using P = std::decay_t<decltype(first)>;
             std::vector<P *> typed;
-            typed.reserve(width);
-            for (DirectionPredictor *p : inners)
+            typed.reserve(members.size());
+            for (DirectionPredictor *p : members)
                 typed.push_back(static_cast<P *>(p));
-            if (anyHooks) {
-                // Wrapped members get the hooked loop: the
-                // specialized kernels below share history state
-                // across members, which an injected flip would
-                // desynchronize, so they serve all-bare groups only.
-                results = hookedEnsembleLoop(typed, hooks, view);
-                return;
-            }
             if constexpr (std::is_same_v<P, PerceptronPredictor>) {
                 if (auto r = PerceptronBatch::tryRun(typed, view)) {
                     results = std::move(*r);

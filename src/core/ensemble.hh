@@ -28,24 +28,18 @@
  * back to the generic loop otherwise, preserving the same contract.
  *
  * Grouping rules (the capability probe): a member list is batchable
- * when it has at least two members and every member resolves — after
- * unwrapping the stock robustness decorators (FaultInjectingPredictor
- * and ProtectedPredictor, in any nesting) — to the *same* concrete
- * inner type, one the monomorphic dispatcher knows. Wrapped members
- * replay through the inner fast path plus a per-member hook chain
- * that re-fires each wrapper's post-update tail (injection cadence,
- * parity/SEC-DED check, scrub) at exactly the per-member update
- * counts the serial path would have used; since each wrapper's
- * cadence reads only its own member's counters and state, the
- * member-major interleaving is invisible to it and results stay
- * bit-identical. Unknown user subclasses still fail the probe and
- * run serially.
+ * when it has at least two members and every member is of the
+ * *same* concrete type, one the monomorphic dispatcher knows. Members
+ * wrapped in the stock robustness decorators (FaultInjectingPredictor,
+ * ProtectedPredictor) fail the probe and replay serially through
+ * runAccuracy(): their per-update flip and repair work dominates
+ * those cells, and batching them measured no faster. Unknown user
+ * subclasses fail it too.
  */
 
 #ifndef BPSIM_CORE_ENSEMBLE_HH
 #define BPSIM_CORE_ENSEMBLE_HH
 
-#include <typeinfo>
 #include <vector>
 
 #include "core/runner.hh"
@@ -56,33 +50,21 @@ namespace bpsim {
 
 /**
  * True when @p members can be replayed as one batched group: at
- * least two, and every member — bare, or wrapped in any nesting of
- * the stock FaultInjecting/Protected decorators — unwrapping to the
- * same concrete inner type known to the monomorphic dispatcher.
- * Null entries, mixed inner families or unknown user subclasses
- * return false — the caller must run those serially.
+ * least two, all of the same concrete type known to the monomorphic
+ * dispatcher. Null entries, mixed types, wrapped members and unknown
+ * user subclasses return false — the caller must run those serially.
  */
 bool ensembleBatchable(
     const std::vector<DirectionPredictor *> &members);
 
 /**
- * Accuracy grouping key: the concrete inner predictor type @p member
- * resolves to after unwrapping the stock robustness decorators, or
- * nullptr when the member is not batchable (unknown wrapper or inner
- * type). Two members with the same key may share a batched group
- * even when their wrapper chains differ — the mixed-wrapper case the
- * protection-surface studies sweep.
- */
-const std::type_info *
-ensembleAccuracyInnerType(DirectionPredictor &member);
-
-/**
  * Replay every conditional branch of @p trace through all
  * @p members in one pass. Precondition: ensembleBatchable(members)
- * (unknown types still produce correct results through the virtual
- * interface, but then the pass only saves the trace re-streaming).
- * Returns one AccuracyResult per member, in member order, each
- * identical to what runAccuracy(member, trace) would have produced.
+ * (other non-null members still produce correct results through the
+ * virtual interface, but then the pass only saves the trace
+ * re-streaming). Returns one AccuracyResult per member, in member
+ * order, each identical to what runAccuracy(member, trace) would
+ * have produced. Throws std::invalid_argument on a null member.
  */
 std::vector<AccuracyResult>
 runAccuracyEnsemble(const std::vector<DirectionPredictor *> &members,

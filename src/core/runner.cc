@@ -229,48 +229,6 @@ SuiteTraces::describe(obs::RunReport &report) const
     report.seed = seed_;
 }
 
-std::vector<AccuracyResult>
-suiteAccuracy(const SuiteTraces &suite,
-              const std::function<std::unique_ptr<DirectionPredictor>()>
-                  &make,
-              double *mean_percent, parallel::CellPool *pool)
-{
-    std::vector<AccuracyResult> results(suite.size());
-    std::vector<double> percents(suite.size());
-    forEachCell(
-        pool, suite.size(),
-        [&](std::size_t i) {
-            auto pred = make();
-            results[i] = runAccuracy(*pred, suite.trace(i));
-            percents[i] = results[i].percent();
-        },
-        [](std::size_t) {});
-    if (mean_percent)
-        *mean_percent = arithmeticMean(percents);
-    return results;
-}
-
-std::vector<SimResult>
-suiteTiming(const SuiteTraces &suite, const CoreConfig &cfg,
-            const std::function<std::unique_ptr<FetchPredictor>()>
-                &make,
-            double *harmonic_mean_ipc, parallel::CellPool *pool)
-{
-    std::vector<SimResult> results(suite.size());
-    std::vector<double> ipcs(suite.size());
-    forEachCell(
-        pool, suite.size(),
-        [&](std::size_t i) {
-            auto pred = make();
-            results[i] = runTiming(cfg, *pred, suite.trace(i));
-            ipcs[i] = results[i].ipc();
-        },
-        [](std::size_t) {});
-    if (harmonic_mean_ipc)
-        *harmonic_mean_ipc = harmonicMean(ipcs);
-    return results;
-}
-
 namespace {
 
 /** Publish describeStats() gauges, tagging names with the workload. */
@@ -305,46 +263,6 @@ publishCacheStats(obs::MetricRegistry &reg, const SuiteTraces &suite)
 
 } // namespace
 
-std::vector<AccuracyResult>
-suiteAccuracyReport(const SuiteTraces &suite,
-                    const std::function<
-                        std::unique_ptr<DirectionPredictor>()> &make,
-                    double *mean_percent, obs::RunReport &report,
-                    const std::string &predictor_name,
-                    std::size_t budget_bytes,
-                    obs::MetricRegistry *metrics,
-                    parallel::CellPool *pool)
-{
-    suite.describe(report);
-    if (metrics)
-        publishCacheStats(*metrics, suite);
-    std::vector<AccuracyResult> results(suite.size());
-    std::vector<double> percents(suite.size());
-    // Predictors stay alive past compute so their describeStats()
-    // gauges can be published in workload order at commit time.
-    std::vector<std::unique_ptr<DirectionPredictor>> preds(
-        suite.size());
-    forEachCell(
-        pool, suite.size(),
-        [&](std::size_t i) {
-            preds[i] = make();
-            results[i] = runAccuracy(*preds[i], suite.trace(i));
-            percents[i] = results[i].percent();
-        },
-        [&](std::size_t i) {
-            report.rows.push_back(reportRow(suite.name(i),
-                                            predictor_name,
-                                            budget_bytes, results[i]));
-            if (metrics)
-                publishPredictorStats(*metrics, *preds[i],
-                                      suite.name(i));
-            preds[i].reset();
-        });
-    if (mean_percent)
-        *mean_percent = arithmeticMean(percents);
-    return results;
-}
-
 EnsembleStats
 suiteAccuracyReportEnsemble(const SuiteTraces &suite,
                             std::vector<AccuracyCellConfig> &configs,
@@ -367,78 +285,43 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
                    : configs[c].make();
     };
 
-    // Group configs by concrete *inner* predictor type using one
-    // probe instance per config (construction is cheap next to
-    // replay; the probes never see a branch). Wrapper chains may
-    // differ inside a group — protected / fault-injecting variants
-    // batch with their bare siblings via per-member hooks — so a
-    // group is batched when every member unwraps to one known inner
-    // type, width >= 2, and the escape hatch is off. Everything else
-    // runs one (config, workload) cell at a time, exactly like
-    // suiteAccuracyReport.
+    // Group configs by concrete predictor type using one probe
+    // instance per config (construction is cheap next to replay; the
+    // probes never see a branch). A group batches when its members
+    // share one type the monomorphic dispatcher knows, it is at least
+    // two wide, and the escape hatch is off. Wrapped members
+    // (fault-injecting, protected) and unknown user types fail that
+    // probe; they, lone configs and every config when BPSIM_ENSEMBLE=0
+    // run one (config, workload) cell at a time through runAccuracy().
     std::vector<std::vector<std::size_t>> groups;
-    std::vector<char> mixedFlags; // aligned with groups
     {
-        std::vector<std::unique_ptr<DirectionPredictor>> probes(nc);
-        std::vector<DirectionPredictor *> probePtrs(nc);
-        for (std::size_t c = 0; c < nc; ++c) {
-            probes[c] = makePred(c, 0);
-            probePtrs[c] = probes[c].get();
-        }
         std::map<std::type_index, std::size_t> byType;
         std::vector<std::vector<std::size_t>> candidates;
         const bool enabled = ensembleEnabled();
         for (std::size_t c = 0; c < nc; ++c) {
-            const std::type_info *inner =
-                ensembleAccuracyInnerType(*probePtrs[c]);
-            if (!enabled || inner == nullptr) {
+            const auto probe = makePred(c, 0);
+            if (!enabled ||
+                !withConcretePredictor(*probe, [](auto &) {})) {
                 groups.push_back({c});
-                mixedFlags.push_back(0);
                 continue;
             }
-            const std::type_index t(*inner);
-            const auto it = byType.find(t);
-            if (it == byType.end()) {
-                byType.emplace(t, candidates.size());
+            const auto [it, fresh] =
+                byType.emplace(typeid(*probe), candidates.size());
+            if (fresh)
                 candidates.push_back({c});
-            } else {
+            else
                 candidates[it->second].push_back(c);
-            }
         }
-        for (auto &g : candidates) {
-            std::vector<DirectionPredictor *> ptrs;
-            for (std::size_t c : g)
-                ptrs.push_back(probePtrs[c]);
-            if (g.size() >= 2 && ensembleBatchable(ptrs)) {
-                // Mixed-wrapper when the members' dynamic types
-                // differ (bare next to protected, say).
-                bool mixed = false;
-                for (DirectionPredictor *p : ptrs)
-                    mixed = mixed || typeid(*p) != typeid(*ptrs[0]);
-                groups.push_back(std::move(g));
-                mixedFlags.push_back(mixed ? 1 : 0);
-            } else {
-                for (std::size_t c : g) {
-                    groups.push_back({c});
-                    mixedFlags.push_back(0);
-                }
-            }
-        }
+        for (auto &g : candidates)
+            groups.push_back(std::move(g));
     }
 
     EnsembleStats stats;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const auto &g = groups[gi];
+    for (const auto &g : groups) {
         if (g.size() >= 2) {
             ++stats.groups;
             stats.batchedCells += g.size() * nw;
             stats.batchWidth = std::max(stats.batchWidth, g.size());
-            if (mixedFlags[gi]) {
-                ++stats.heteroGroups;
-                stats.heteroCells += g.size() * nw;
-                stats.heteroWidth =
-                    std::max(stats.heteroWidth, g.size());
-            }
         } else {
             stats.serialCells += nw;
         }
@@ -481,8 +364,8 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
         [](std::size_t) {});
 
     // Emission phase, config-major / workload-minor: byte-identical
-    // report rows and metrics to N sequential suiteAccuracyReport
-    // calls in list order.
+    // report rows and metrics to running the configs one after
+    // another, each over every workload in suite order.
     for (std::size_t c = 0; c < nc; ++c) {
         std::vector<double> percents(nw);
         for (std::size_t w = 0; w < nw; ++w) {

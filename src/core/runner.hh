@@ -5,10 +5,10 @@
  * orchestration over the twelve SPECint stand-ins with the paper's
  * reductions (arithmetic-mean misprediction, harmonic-mean IPC).
  *
- * Every suite helper optionally takes a parallel::CellPool: when one
- * is passed, the per-workload cells execute concurrently on the
- * pool's workers while rows and metrics are committed in workload
- * order on the calling thread, so a parallel run's RunReport is
+ * Both suite sweeps optionally take a parallel::CellPool: when one
+ * is passed, the (config, workload) cells execute concurrently on the
+ * pool's workers while rows and metrics are committed in row order
+ * on the calling thread, so a parallel run's RunReport is
  * byte-identical to the serial one. The predictor factory closure is
  * then invoked concurrently and must be safe to call from multiple
  * threads (the stock makePredictor/makeFetchPredictor factories are).
@@ -179,52 +179,12 @@ class SuiteTraces
 };
 
 /**
- * Convenience: per-workload accuracy for a predictor built fresh per
- * workload by @p make. Returns one entry per suite workload plus
- * fills @p mean_percent with the arithmetic mean (the paper's
- * Figure 1/5/6 reduction).
- */
-std::vector<AccuracyResult>
-suiteAccuracy(const SuiteTraces &suite,
-              const std::function<std::unique_ptr<DirectionPredictor>()>
-                  &make,
-              double *mean_percent = nullptr,
-              parallel::CellPool *pool = nullptr);
-
-/**
- * Per-workload timing runs for a fetch predictor built fresh per
- * workload by @p make. Fills @p harmonic_mean_ipc with the paper's
- * Figure 7/8 reduction.
- */
-std::vector<SimResult>
-suiteTiming(const SuiteTraces &suite, const CoreConfig &cfg,
-            const std::function<std::unique_ptr<FetchPredictor>()>
-                &make,
-            double *harmonic_mean_ipc = nullptr,
-            parallel::CellPool *pool = nullptr);
-
-/**
- * suiteAccuracy plus reporting: appends one row per workload to
- * @p report under @p predictor_name / @p budget_bytes, publishes
- * each predictor instance's describeStats() gauges into @p metrics
- * when non-null, and stamps the suite's trace-cache hit/miss gauges.
- */
-std::vector<AccuracyResult>
-suiteAccuracyReport(const SuiteTraces &suite,
-                    const std::function<
-                        std::unique_ptr<DirectionPredictor>()> &make,
-                    double *mean_percent, obs::RunReport &report,
-                    const std::string &predictor_name,
-                    std::size_t budget_bytes,
-                    obs::MetricRegistry *metrics = nullptr,
-                    parallel::CellPool *pool = nullptr);
-
-/**
- * One cell of a batched accuracy sweep: a predictor configuration
- * plus its per-workload outputs. The sweep drivers (fig1/fig5/fig6)
- * build one of these per (kind, budget) and hand the whole list to
- * suiteAccuracyReportEnsemble, which groups same-family configs and
- * replays each group in one pass over every trace.
+ * One configuration of an accuracy sweep: a predictor factory plus
+ * its per-workload outputs. The accuracy drivers (fig1/fig5/fig6,
+ * the studies and ablations) build one of these per configuration,
+ * in row order, and hand the whole list to
+ * suiteAccuracyReportEnsemble, which batches bare same-type configs
+ * and replays every other config one cell at a time.
  */
 struct AccuracyCellConfig
 {
@@ -270,40 +230,40 @@ struct AccuracyCellConfig
 struct EnsembleStats
 {
     /** Accuracy (config x workload) cells replayed inside a batched
-     *  group. */
+     *  group of bare same-type members. */
     std::size_t batchedCells = 0;
-    /** Cells replayed one-at-a-time: unbatchable or lone accuracy
-     *  configs, and every timing cell. */
+    /** Cells replayed one at a time: lone, wrapped or unknown-type
+     *  accuracy configs, and every timing cell. */
     std::size_t serialCells = 0;
     /** Batched accuracy groups formed. */
     std::size_t groups = 0;
     /** Widest batched accuracy group (member count). */
     std::size_t batchWidth = 0;
-    /** Batched accuracy groups whose members mix wrapper chains
-     *  (distinct dynamic member types around one inner kind). */
-    std::size_t heteroGroups = 0;
-    /** Cells replayed inside those mixed-wrapper accuracy groups. */
-    std::size_t heteroCells = 0;
-    /** Widest mixed-wrapper accuracy group (member count). */
-    std::size_t heteroWidth = 0;
 };
 
 /**
  * Run every configuration in @p configs over @p suite, batching
- * same-family groups through the ensemble engine (core/ensemble.hh)
+ * same-type groups through the ensemble engine (core/ensemble.hh)
  * so each group streams every trace once instead of once per config.
+ *
+ * Each config's cells build a fresh predictor per workload
+ * (@c makeForWorkload when set, else @c make). Configs group by the
+ * concrete type of their workload-0 instance: two or more bare
+ * configs of one type the monomorphic dispatcher knows batch
+ * together. Lone configs, configs wrapped in the robustness
+ * decorators (FaultInjectingPredictor, ProtectedPredictor), unknown
+ * user types, and every config when BPSIM_ENSEMBLE=0 run one
+ * (config, workload) cell at a time through runAccuracy().
  *
  * Equivalence contract: the appended report rows, the published
  * metrics (bar the extra core.ensemble.* gauges) and each config's
- * results/meanPercent are byte-identical to calling
- * suiteAccuracyReport once per config in list order — rows are
- * emitted config-major, workload-minor after all cells compute.
- * Groups form per concrete *inner* type (ensembleAccuracyInnerType),
- * so protected / fault-injecting wrapper variants of one kind batch
- * together with their bare siblings. Configurations whose predictors
- * the ensemble probe rejects (unknown user types) and all configs
- * when BPSIM_ENSEMBLE=0 run through the serial path, with identical
- * output.
+ * results/meanPercent are byte-identical to running the configs one
+ * after another through runAccuracy(), workload by workload, at any
+ * pool size — rows are emitted config-major, workload-minor after
+ * all cells compute. Each config's predictors publish their
+ * describeStats() gauges into @p metrics (when non-null) under
+ * `{workload=...}` labels, with the suite's trace-cache gauges
+ * stamped once.
  */
 EnsembleStats suiteAccuracyReportEnsemble(
     const SuiteTraces &suite,

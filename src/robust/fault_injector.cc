@@ -103,12 +103,6 @@ void
 FaultInjectingPredictor::update(Addr pc, bool taken)
 {
     inner_->update(pc, taken);
-    afterInnerUpdate();
-}
-
-void
-FaultInjectingPredictor::afterInnerUpdate()
-{
     const Counter interval = injector_.plan().intervalBranches;
     if (interval > 0 && ++updates_ % interval == 0) {
         injector_.beginEvent();

@@ -116,7 +116,9 @@ class FaultInjector : public StateVisitor
  * predictor's SRAM per a FaultPlan: every plan.intervalBranches
  * updates, one injection event walks the inner visitState(). Used by
  * the soft-error study and the robustness tests; composes with every
- * fetch wrapper since it is itself a DirectionPredictor.
+ * fetch wrapper since it is itself a DirectionPredictor. Accuracy
+ * sweeps replay it one cell at a time: the batched ensemble probe
+ * (core/ensemble.hh) rejects wrapped members.
  */
 class FaultInjectingPredictor : public DirectionPredictor
 {
@@ -137,19 +139,7 @@ class FaultInjectingPredictor : public DirectionPredictor
         inner_->visitState(v);
     }
 
-    /**
-     * The injection tail of update(), after the inner predictor has
-     * trained: counts the update and bombards the inner state every
-     * plan.intervalBranches. Public so the batched accuracy ensemble
-     * (core/ensemble.cc) can train the inner predictor through the
-     * monomorphic fast path and replay this hook per member — the
-     * cadence depends only on this member's own update count, so
-     * hooked replay is bit-identical to calling update().
-     */
-    void afterInnerUpdate();
-
     const FaultInjector &injector() const { return injector_; }
-    DirectionPredictor &inner() { return *inner_; }
 
   private:
     std::unique_ptr<DirectionPredictor> inner_;

@@ -173,7 +173,9 @@ class ProtectionLayer
  * Policy None degenerates to plain injection. storageBits() stays
  * the inner predictor's — check bits are not addressable state (see
  * protectionBitsTotal() for the tax) — so the exposed-bits ==
- * storageBits() invariant holds for the wrapper too.
+ * storageBits() invariant holds for the wrapper too. Accuracy sweeps
+ * replay it one cell at a time: the batched ensemble probe
+ * (core/ensemble.hh) rejects wrapped members.
  */
 class ProtectedPredictor : public DirectionPredictor
 {
@@ -195,17 +197,6 @@ class ProtectedPredictor : public DirectionPredictor
         inner_->visitState(v);
     }
 
-    /**
-     * The injection/check/scrub tail of update(), after the inner
-     * predictor has trained: counts the update and fires the fault /
-     * repair cadence. Public so the batched accuracy ensemble
-     * (core/ensemble.cc) can train the inner predictor through the
-     * monomorphic fast path and then replay this wrapper's per-branch
-     * hook — the cadence depends only on this member's own update
-     * count, so hooked replay is bit-identical to calling update().
-     */
-    void afterInnerUpdate();
-
     const FaultInjector &injector() const { return injector_; }
     const ProtectionStats &protectionStats() const
     {
@@ -217,7 +208,6 @@ class ProtectedPredictor : public DirectionPredictor
     }
     /** Check bits covering the inner predictor's state. */
     std::uint64_t protectionBitsTotal() const;
-    DirectionPredictor &inner() { return *inner_; }
 
   private:
     std::unique_ptr<DirectionPredictor> inner_;

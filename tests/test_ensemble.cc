@@ -5,11 +5,12 @@
  * member per standard budget replayed in one pass must produce
  * byte-identical counts, describeStats() gauges and visitState()
  * dumps to running each member alone. Also pins the grouping rules
- * (stock-wrapped members batch with bare siblings of the same inner
- * kind; unknown user subclasses refuse), the BPSIM_ENSEMBLE=0 escape
- * hatch, and suiteAccuracyReportEnsemble's contract that its
- * RunReport is byte-identical to serial suiteAccuracyReport calls.
- * Timing sweeps never batch; their cases live in test_runner.cc.
+ * (only bare members of one known concrete type batch; wrapped
+ * members, mixed types and unknown user subclasses refuse and replay
+ * through the virtual loop), the BPSIM_ENSEMBLE=0 escape hatch, and
+ * suiteAccuracyReportEnsemble's contract that its RunReport is
+ * byte-identical to the serial oracle in sweep_oracle.hh. Timing
+ * sweeps never batch; their cases live in test_runner.cc.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,7 +29,9 @@
 #include "obs/metrics.hh"
 #include "obs/run_report.hh"
 #include "robust/fault_injector.hh"
+#include "robust/protection.hh"
 #include "robust/state_visitor.hh"
+#include "sweep_oracle.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_cache.hh"
 #include "workloads/registry.hh"
@@ -136,87 +140,74 @@ struct UnknownDirectionPredictor final : DirectionPredictor
     void update(Addr, bool) override {}
 };
 
-TEST(EnsembleReplay, ProbeAcceptsWrappersRejectsMixedAndLoneGroups)
+TEST(EnsembleReplay, ProbeRejectsWrappedMixedAndLoneGroups)
 {
     auto g0 = makePredictor(PredictorKind::Gshare, 4 * 1024);
     auto g1 = makePredictor(PredictorKind::Gshare, 16 * 1024);
     auto b0 = makePredictor(PredictorKind::Bimodal, 4 * 1024);
 
-    // A genuine same-family pair batches...
+    // A genuine same-type pair batches...
     EXPECT_TRUE(ensembleBatchable({g0.get(), g1.get()}));
     // ...but a lone config, mixed kinds, or a null member do not.
     EXPECT_FALSE(ensembleBatchable({g0.get()}));
     EXPECT_FALSE(ensembleBatchable({}));
     EXPECT_FALSE(ensembleBatchable({g0.get(), b0.get()}));
     EXPECT_FALSE(ensembleBatchable({g0.get(), nullptr}));
+    EXPECT_FALSE(ensembleBatchable({nullptr, g0.get()}));
 
-    // The stock fault-injection wrapper batches: its injection
-    // cadence reads only its own member's update count, so the
-    // hooked replay re-fires it at exactly the serial points.
+    // Any wrapped member refuses: fault-injected pairs, protected
+    // pairs, and either next to a bare sibling of its inner kind.
     robust::FaultPlan plan;
     plan.upsetRatePerBit = 1e-4;
     auto f0 = std::make_unique<robust::FaultInjectingPredictor>(
         makePredictor(PredictorKind::Gshare, 4 * 1024), plan);
     auto f1 = std::make_unique<robust::FaultInjectingPredictor>(
         makePredictor(PredictorKind::Gshare, 16 * 1024), plan);
-    EXPECT_TRUE(ensembleBatchable({f0.get(), f1.get()}));
-
-    // Protected wrappers likewise, including mixed with bare
-    // siblings of the same inner kind...
+    EXPECT_FALSE(ensembleBatchable({f0.get(), f1.get()}));
     robust::ProtectionConfig prot;
     prot.policy = robust::ProtectionPolicy::ParityInvalidate;
     auto p0 = makeProtectedPredictor(PredictorKind::Gshare, 4 * 1024,
                                      prot, robust::FaultPlan{});
     auto p1 = makeProtectedPredictor(PredictorKind::Gshare, 16 * 1024,
                                      prot, robust::FaultPlan{});
-    EXPECT_TRUE(ensembleBatchable({p0.get(), p1.get()}));
-    EXPECT_TRUE(ensembleBatchable({g0.get(), f0.get(), p0.get()}));
-    EXPECT_EQ(ensembleAccuracyInnerType(*g0),
-              ensembleAccuracyInnerType(*p0));
+    EXPECT_FALSE(ensembleBatchable({p0.get(), p1.get()}));
+    EXPECT_FALSE(ensembleBatchable({g0.get(), f0.get()}));
+    EXPECT_FALSE(ensembleBatchable({g0.get(), p0.get()}));
+    EXPECT_FALSE(ensembleBatchable({g0.get(), f0.get(), p0.get()}));
 
-    // ...but a wrapper over a different inner kind still splits the
-    // group, and an unknown user subclass refuses outright.
-    auto pb = makeProtectedPredictor(PredictorKind::Bimodal, 4 * 1024,
-                                     prot, robust::FaultPlan{});
-    EXPECT_FALSE(ensembleBatchable({g0.get(), pb.get()}));
+    // An unknown user subclass refuses outright.
     UnknownDirectionPredictor u0;
     UnknownDirectionPredictor u1;
-    EXPECT_EQ(ensembleAccuracyInnerType(u0), nullptr);
     EXPECT_FALSE(ensembleBatchable({&u0, &u1}));
-    auto fu = std::make_unique<robust::FaultInjectingPredictor>(
-        std::make_unique<UnknownDirectionPredictor>(), plan);
-    EXPECT_FALSE(ensembleBatchable({fu.get(), g0.get()}));
 }
 
-TEST(EnsembleReplay, WrappedGroupReplaysViaHooksBitIdentical)
+TEST(EnsembleReplay, NullMemberThrows)
 {
-    // A fault-injected pair batches through the hooked monomorphic
-    // loop — results must match serial runs exactly (same plan +
-    // seed => identical flip sequence per member; expectSameState
-    // compares injector flip/event counters via describeStats()).
     const TraceBuffer trace = suiteTrace();
-    robust::FaultPlan plan;
-    plan.upsetRatePerBit = 1e-4;
-    plan.intervalBranches = 1024;
+    auto g0 = makePredictor(PredictorKind::Gshare, 4 * 1024);
+    EXPECT_THROW(runAccuracyEnsemble({g0.get(), nullptr}, trace),
+                 std::invalid_argument);
+    EXPECT_THROW(runAccuracyEnsemble({nullptr}, trace),
+                 std::invalid_argument);
+}
 
-    std::vector<std::unique_ptr<DirectionPredictor>> batched;
-    std::vector<std::unique_ptr<DirectionPredictor>> serial;
+/** runAccuracyEnsemble over @p batched must match runAccuracy over
+ *  each of @p serial: counts, describeStats() gauges (injector flip
+ *  and event counters, protection ledgers) and state dumps. */
+void
+expectEnsembleMatchesSerial(
+    const std::vector<std::unique_ptr<DirectionPredictor>> &batched,
+    const std::vector<std::unique_ptr<DirectionPredictor>> &serial,
+    const TraceBuffer &trace)
+{
     std::vector<DirectionPredictor *> members;
-    for (const std::size_t budget : {4096u, 16384u}) {
-        batched.push_back(
-            std::make_unique<robust::FaultInjectingPredictor>(
-                makePredictor(PredictorKind::Gshare, budget), plan));
-        serial.push_back(
-            std::make_unique<robust::FaultInjectingPredictor>(
-                makePredictor(PredictorKind::Gshare, budget), plan));
-        members.push_back(batched.back().get());
-    }
-    EXPECT_TRUE(ensembleBatchable(members));
-
+    for (const auto &m : batched)
+        members.push_back(m.get());
     const std::vector<AccuracyResult> rb =
         runAccuracyEnsemble(members, trace);
     ASSERT_EQ(rb.size(), members.size());
     for (std::size_t j = 0; j < members.size(); ++j) {
+        SCOPED_TRACE("member " + std::to_string(j));
         const AccuracyResult rs = runAccuracy(*serial[j], trace);
         EXPECT_EQ(rb[j].branches, rs.branches);
         EXPECT_EQ(rb[j].mispredictions, rs.mispredictions);
@@ -224,12 +215,39 @@ TEST(EnsembleReplay, WrappedGroupReplaysViaHooksBitIdentical)
     }
 }
 
+TEST(EnsembleReplay, WrappedGroupFallsBackToVirtualLoopBitIdentical)
+{
+    // A fault-injected pair is refused by the probe; handed to
+    // runAccuracyEnsemble anyway, it replays through the virtual
+    // loop and matches serial runs exactly (same plan + seed =>
+    // identical flip sequence per member).
+    const TraceBuffer trace = suiteTrace();
+    robust::FaultPlan plan;
+    plan.upsetRatePerBit = 1e-4;
+    plan.intervalBranches = 1024;
+
+    const auto build = [&] {
+        std::vector<std::unique_ptr<DirectionPredictor>> v;
+        for (const std::size_t budget : {4096u, 16384u})
+            v.push_back(
+                std::make_unique<robust::FaultInjectingPredictor>(
+                    makePredictor(PredictorKind::Gshare, budget),
+                    plan));
+        return v;
+    };
+    const auto batched = build();
+    const auto serial = build();
+    EXPECT_FALSE(
+        ensembleBatchable({batched[0].get(), batched[1].get()}));
+    expectEnsembleMatchesSerial(batched, serial, trace);
+}
+
 TEST(EnsembleReplay, MixedWrapperGroupMatchesSerial)
 {
-    // One group mixing a bare gshare, a fault-injected one and a
-    // protected one: each member replays through the same inner fast
-    // path with its own hook chain, so every wrapper's cadence fires
-    // at the exact serial update counts.
+    // A bare gshare, a fault-injected one and a protected one:
+    // mixed types, so the probe refuses and runAccuracyEnsemble
+    // falls back to the virtual loop, where every wrapper's cadence
+    // fires at the serial update counts.
     const TraceBuffer trace = suiteTrace();
     robust::FaultPlan plan;
     plan.upsetRatePerBit = 1e-4;
@@ -251,23 +269,11 @@ TEST(EnsembleReplay, MixedWrapperGroupMatchesSerial)
             PredictorKind::Gshare, 16 * 1024, prot, protPlan));
         return v;
     };
-    auto batched = build();
-    auto serial = build();
-    std::vector<DirectionPredictor *> members;
-    for (const auto &m : batched)
-        members.push_back(m.get());
-    ASSERT_TRUE(ensembleBatchable(members));
-
-    const std::vector<AccuracyResult> rb =
-        runAccuracyEnsemble(members, trace);
-    ASSERT_EQ(rb.size(), members.size());
-    for (std::size_t j = 0; j < members.size(); ++j) {
-        SCOPED_TRACE("member " + std::to_string(j));
-        const AccuracyResult rs = runAccuracy(*serial[j], trace);
-        EXPECT_EQ(rb[j].branches, rs.branches);
-        EXPECT_EQ(rb[j].mispredictions, rs.mispredictions);
-        expectSameState(*batched[j], *serial[j]);
-    }
+    const auto batched = build();
+    const auto serial = build();
+    EXPECT_FALSE(ensembleBatchable(
+        {batched[0].get(), batched[1].get(), batched[2].get()}));
+    expectEnsembleMatchesSerial(batched, serial, trace);
 }
 
 /** The fig-sweep config list used by the suite-level tests: two
@@ -337,15 +343,12 @@ TEST(EnsembleReplay, SuiteReportMatchesSerialByteForByte)
     EXPECT_EQ(stats.batchedCells, 5u * suite.size());
     EXPECT_EQ(stats.serialCells, 1u * suite.size());
 
-    // Serial reference: one suiteAccuracyReport per config, in list
-    // order, over the same suite.
+    // Serial reference: the oracle runs each config in list order
+    // over the same suite.
     std::vector<AccuracyCellConfig> ref = sweepConfigs();
     obs::RunReport serialReport;
     obs::MetricRegistry serialMetrics;
-    for (AccuracyCellConfig &c : ref)
-        c.results = suiteAccuracyReport(
-            suite, c.make, &c.meanPercent, serialReport, c.name,
-            c.budgetBytes, &serialMetrics);
+    accuracyOracle(suite, ref, serialReport, &serialMetrics);
 
     EXPECT_EQ(batchedReport.toJson().dump(2),
               serialReport.toJson().dump(2));
@@ -398,10 +401,9 @@ TEST(EnsembleReplay, EnvEscapeForcesSerialIdenticalOutput)
 
 TEST(EnsembleReplay, MixedWrapperSuiteReportMatchesSerial)
 {
-    // Protected and fault-injected gshare variants next to a bare
-    // one: all three share the gshare inner type, so the suite
-    // engine forms one mixed-wrapper group — the protection-surface
-    // sweep shape.
+    // Protected and fault-injected gshare variants next to two bare
+    // ones — the protection-surface sweep shape. The bare siblings
+    // still batch; the wrapped configs run as serial cells.
     const SuiteTraces suite(4000, 13, nullptr, TraceCache());
     robust::ProtectionConfig prot;
     prot.policy = robust::ProtectionPolicy::SecdedCorrect;
@@ -411,31 +413,26 @@ TEST(EnsembleReplay, MixedWrapperSuiteReportMatchesSerial)
 
     const auto build = [&] {
         std::vector<AccuracyCellConfig> configs;
-        AccuracyCellConfig bare;
-        bare.make = [] {
-            return makePredictor(PredictorKind::Gshare, 16 * 1024);
-        };
-        bare.name = "gshare";
-        bare.budgetBytes = 16 * 1024;
-        configs.push_back(std::move(bare));
-        AccuracyCellConfig prot_c;
-        prot_c.make = [prot, plan] {
-            return makeProtectedPredictor(PredictorKind::Gshare,
-                                          16 * 1024, prot, plan);
-        };
-        prot_c.name = "gshare.secded";
-        prot_c.budgetBytes = 16 * 1024;
-        configs.push_back(std::move(prot_c));
-        AccuracyCellConfig fault;
-        fault.make = [plan] {
-            return std::make_unique<
-                robust::FaultInjectingPredictor>(
-                makePredictor(PredictorKind::Gshare, 16 * 1024),
-                plan);
-        };
-        fault.name = "gshare.fault";
-        fault.budgetBytes = 16 * 1024;
-        configs.push_back(std::move(fault));
+        for (const std::size_t budget : {4096u, 16384u})
+            configs.emplace_back(
+                [budget] {
+                    return makePredictor(PredictorKind::Gshare, budget);
+                },
+                "gshare", budget);
+        configs.emplace_back(
+            [prot, plan] {
+                return makeProtectedPredictor(PredictorKind::Gshare,
+                                              16 * 1024, prot, plan);
+            },
+            "gshare.secded", 16 * 1024);
+        configs.emplace_back(
+            [plan] {
+                return std::make_unique<
+                    robust::FaultInjectingPredictor>(
+                    makePredictor(PredictorKind::Gshare, 16 * 1024),
+                    plan);
+            },
+            "gshare.fault", 16 * 1024);
         return configs;
     };
 
@@ -445,17 +442,14 @@ TEST(EnsembleReplay, MixedWrapperSuiteReportMatchesSerial)
     const EnsembleStats stats = suiteAccuracyReportEnsemble(
         suite, configs, batchedReport, &batchedMetrics);
     EXPECT_EQ(stats.groups, 1u);
-    EXPECT_EQ(stats.batchWidth, 3u);
-    EXPECT_EQ(stats.heteroGroups, 1u);
-    EXPECT_EQ(stats.serialCells, 0u);
+    EXPECT_EQ(stats.batchWidth, 2u);
+    EXPECT_EQ(stats.batchedCells, 2u * suite.size());
+    EXPECT_EQ(stats.serialCells, 2u * suite.size());
 
     std::vector<AccuracyCellConfig> ref = build();
     obs::RunReport serialReport;
     obs::MetricRegistry serialMetrics;
-    for (AccuracyCellConfig &c : ref)
-        c.results = suiteAccuracyReport(
-            suite, c.make, &c.meanPercent, serialReport, c.name,
-            c.budgetBytes, &serialMetrics);
+    accuracyOracle(suite, ref, serialReport, &serialMetrics);
 
     EXPECT_EQ(batchedReport.toJson().dump(2),
               serialReport.toJson().dump(2));
@@ -466,12 +460,22 @@ TEST(EnsembleReplay, MixedWrapperSuiteReportMatchesSerial)
 TEST(EnsembleReplay, PerWorkloadFactoryMatchesEscapeHatch)
 {
     // makeForWorkload lets the soft-error studies seed each cell's
-    // fault plan by workload index; the ensemble path must produce
-    // the same rows as the escape-hatch serial path with identical
-    // per-cell seeds.
+    // fault plan by workload index; the sweep must produce the same
+    // rows as the escape-hatch serial path with identical per-cell
+    // seeds. Bare per-workload configs batch, the fault-injected
+    // ones replay serially.
     const SuiteTraces suite(4000, 13, nullptr, TraceCache());
     const auto build = [] {
         std::vector<AccuracyCellConfig> configs;
+        for (const std::size_t budget : {4096u, 16384u}) {
+            AccuracyCellConfig c;
+            c.makeForWorkload = [budget](std::size_t) {
+                return makePredictor(PredictorKind::Gshare, budget);
+            };
+            c.name = "gshare";
+            c.budgetBytes = budget;
+            configs.push_back(std::move(c));
+        }
         for (const std::size_t budget : {4096u, 16384u}) {
             AccuracyCellConfig c;
             c.makeForWorkload = [budget](std::size_t w) {
@@ -499,6 +503,7 @@ TEST(EnsembleReplay, PerWorkloadFactoryMatchesEscapeHatch)
         suiteAccuracyReportEnsemble(suite, batched, batchedReport);
     EXPECT_EQ(stats.groups, 1u);
     EXPECT_EQ(stats.batchedCells, 2u * suite.size());
+    EXPECT_EQ(stats.serialCells, 2u * suite.size());
 
     ASSERT_EQ(::setenv("BPSIM_ENSEMBLE", "0", 1), 0);
     std::vector<AccuracyCellConfig> forced = build();

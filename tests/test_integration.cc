@@ -19,17 +19,42 @@ class IntegrationTest : public ::testing::Test
         static SuiteTraces s(120000, 42);
         return s;
     }
+
+    /** Suite-mean misprediction percent of one configuration. */
+    static double
+    meanMisprediction(PredictorKind kind, std::size_t budget)
+    {
+        std::vector<AccuracyCellConfig> configs;
+        configs.emplace_back(
+            [kind, budget] { return makePredictor(kind, budget); },
+            kindName(kind), budget);
+        obs::RunReport report;
+        suiteAccuracyReportEnsemble(suite(), configs, report);
+        return configs[0].meanPercent;
+    }
+
+    /** Harmonic-mean IPC of one fetch-predictor configuration. */
+    static double
+    harmonicIpc(PredictorKind kind, std::size_t budget, DelayMode mode)
+    {
+        std::vector<TimingCellConfig> configs;
+        configs.emplace_back(
+            [kind, budget, mode] {
+                return makeFetchPredictor(kind, budget, mode);
+            },
+            kindName(kind), delayModeName(mode), budget, CoreConfig{});
+        obs::RunReport report;
+        suiteTimingReportEnsemble(suite(), configs, report);
+        return configs[0].harmonicMeanIpc;
+    }
 };
 
 TEST_F(IntegrationTest, AccuracyOrderingMatchesPaper)
 {
     // Perceptron and multi-component are the most accurate;
     // bimodal is the least (Figures 1 and 5).
-    auto mean_of = [&](PredictorKind k) {
-        double m = 0;
-        suiteAccuracy(
-            suite(), [&] { return makePredictor(k, 64 * 1024); }, &m);
-        return m;
+    auto mean_of = [](PredictorKind k) {
+        return meanMisprediction(k, 64 * 1024);
     };
     const double bimodal = mean_of(PredictorKind::Bimodal);
     const double gshare = mean_of(PredictorKind::Gshare);
@@ -49,10 +74,7 @@ TEST_F(IntegrationTest, AccuracyOrderingMatchesPaper)
 TEST_F(IntegrationTest, EveryPredictorBeatsStaticBaseline)
 {
     for (auto kind : allKinds()) {
-        double m = 0;
-        suiteAccuracy(
-            suite(), [&] { return makePredictor(kind, 64 * 1024); },
-            &m);
+        const double m = meanMisprediction(kind, 64 * 1024);
         EXPECT_LT(m, 25.0) << kindName(kind);
         EXPECT_GT(m, 0.5) << kindName(kind)
                           << " (suspiciously perfect)";
@@ -61,24 +83,12 @@ TEST_F(IntegrationTest, EveryPredictorBeatsStaticBaseline)
 
 TEST_F(IntegrationTest, OverridingNeverBeatsIdealOfSamePredictor)
 {
-    CoreConfig cfg;
     for (auto kind :
          {PredictorKind::Perceptron, PredictorKind::MultiComponent}) {
-        double ideal = 0, over = 0;
-        suiteTiming(
-            suite(), cfg,
-            [&] {
-                return makeFetchPredictor(kind, 256 * 1024,
-                                          DelayMode::Ideal);
-            },
-            &ideal);
-        suiteTiming(
-            suite(), cfg,
-            [&] {
-                return makeFetchPredictor(kind, 256 * 1024,
-                                          DelayMode::Overriding);
-            },
-            &over);
+        const double ideal =
+            harmonicIpc(kind, 256 * 1024, DelayMode::Ideal);
+        const double over =
+            harmonicIpc(kind, 256 * 1024, DelayMode::Overriding);
         EXPECT_LE(over, ideal + 1e-9) << kindName(kind);
         EXPECT_GT(over, 0.0);
     }
@@ -86,22 +96,10 @@ TEST_F(IntegrationTest, OverridingNeverBeatsIdealOfSamePredictor)
 
 TEST_F(IntegrationTest, GshareFastIpcUnaffectedByDelayMode)
 {
-    CoreConfig cfg;
-    double pipelined = 0, ideal = 0;
-    suiteTiming(
-        suite(), cfg,
-        [&] {
-            return makeFetchPredictor(PredictorKind::GshareFast,
-                                      256 * 1024, DelayMode::Pipelined);
-        },
-        &pipelined);
-    suiteTiming(
-        suite(), cfg,
-        [&] {
-            return makeFetchPredictor(PredictorKind::GshareFast,
-                                      256 * 1024, DelayMode::Ideal);
-        },
-        &ideal);
+    const double pipelined = harmonicIpc(
+        PredictorKind::GshareFast, 256 * 1024, DelayMode::Pipelined);
+    const double ideal = harmonicIpc(PredictorKind::GshareFast,
+                                     256 * 1024, DelayMode::Ideal);
     EXPECT_DOUBLE_EQ(pipelined, ideal)
         << "pipelining hides all delay: identical to a zero-delay "
            "predictor";
@@ -109,23 +107,10 @@ TEST_F(IntegrationTest, GshareFastIpcUnaffectedByDelayMode)
 
 TEST_F(IntegrationTest, StallModeIsWorseThanOverriding)
 {
-    CoreConfig cfg;
-    double stall = 0, over = 0;
-    suiteTiming(
-        suite(), cfg,
-        [&] {
-            return makeFetchPredictor(PredictorKind::Perceptron,
-                                      256 * 1024, DelayMode::Stall);
-        },
-        &stall);
-    suiteTiming(
-        suite(), cfg,
-        [&] {
-            return makeFetchPredictor(PredictorKind::Perceptron,
-                                      256 * 1024,
-                                      DelayMode::Overriding);
-        },
-        &over);
+    const double stall = harmonicIpc(PredictorKind::Perceptron,
+                                     256 * 1024, DelayMode::Stall);
+    const double over = harmonicIpc(PredictorKind::Perceptron,
+                                    256 * 1024, DelayMode::Overriding);
     EXPECT_LT(stall, over)
         << "overriding exists because stalling on every branch is "
            "worse (Section 2.6)";

@@ -178,15 +178,21 @@ TEST(ParallelSuite, TraceGenerationMatchesSerial)
 TEST(ParallelSuite, AccuracyReportByteIdenticalAtAnyJobCount)
 {
     const SuiteTraces suite(10000, 5);
-    const auto make = [] {
-        return makePredictor(PredictorKind::Gshare, 4 * 1024);
+    const auto configs = [] {
+        std::vector<AccuracyCellConfig> v;
+        v.emplace_back(
+            [] {
+                return makePredictor(PredictorKind::Gshare, 4 * 1024);
+            },
+            "gshare", 4 * 1024);
+        return v;
     };
 
     obs::RunReport serial = freshReport();
     obs::MetricRegistry serialMetrics;
-    double serialMean = -1;
-    suiteAccuracyReport(suite, make, &serialMean, serial, "gshare",
-                        4 * 1024, &serialMetrics, nullptr);
+    auto serialConfigs = configs();
+    suiteAccuracyReportEnsemble(suite, serialConfigs, serial,
+                                &serialMetrics, nullptr);
     const std::string serialBytes = serial.toJson().dump(2);
     const std::string serialMetricBytes =
         serialMetrics.toJson().dump(2);
@@ -196,10 +202,12 @@ TEST(ParallelSuite, AccuracyReportByteIdenticalAtAnyJobCount)
         CellPool pool(jobs);
         obs::RunReport report = freshReport();
         obs::MetricRegistry metrics;
-        double mean = -1;
-        suiteAccuracyReport(suite, make, &mean, report, "gshare",
-                            4 * 1024, &metrics, &pool);
-        EXPECT_DOUBLE_EQ(mean, serialMean) << "jobs " << jobs;
+        auto pooled = configs();
+        suiteAccuracyReportEnsemble(suite, pooled, report, &metrics,
+                                    &pool);
+        EXPECT_DOUBLE_EQ(pooled[0].meanPercent,
+                         serialConfigs[0].meanPercent)
+            << "jobs " << jobs;
         EXPECT_EQ(report.toJson().dump(2), serialBytes)
             << "jobs " << jobs;
         EXPECT_EQ(metrics.toJson().dump(2), serialMetricBytes)

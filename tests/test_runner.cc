@@ -17,6 +17,7 @@
 #include "predictors/static_pred.hh"
 #include "robust/fault_injector.hh"
 #include "sim_result_equal.hh"
+#include "sweep_oracle.hh"
 #include "workloads/registry.hh"
 
 namespace bpsim {
@@ -60,29 +61,34 @@ TEST(SuiteTraces, BuildsAllTwelveOnce)
 TEST(SuiteAccuracy, MeanIsArithmeticOverWorkloads)
 {
     SuiteTraces suite(15000, 2);
-    double mean = -1;
-    const auto res = suiteAccuracy(
-        suite, [] { return std::make_unique<StaticPredictor>(true); },
-        &mean);
+    std::vector<AccuracyCellConfig> configs;
+    configs.emplace_back(
+        [] { return std::make_unique<StaticPredictor>(true); },
+        "static", 0);
+    obs::RunReport report;
+    suiteAccuracyReportEnsemble(suite, configs, report);
+    const auto &res = configs[0].results;
     ASSERT_EQ(res.size(), 12u);
     double acc = 0;
     for (const auto &r : res)
         acc += r.percent();
-    EXPECT_NEAR(mean, acc / 12.0, 1e-12);
+    EXPECT_NEAR(configs[0].meanPercent, acc / 12.0, 1e-12);
 }
 
 TEST(SuiteTiming, HarmonicMeanAndPerWorkloadResults)
 {
     SuiteTraces suite(15000, 3);
-    CoreConfig cfg;
-    double hm = -1;
-    const auto res = suiteTiming(
-        suite, cfg,
+    std::vector<TimingCellConfig> configs;
+    configs.emplace_back(
         [] {
             return std::make_unique<SingleCycleFetchPredictor>(
                 std::make_unique<StaticPredictor>(true));
         },
-        &hm);
+        "static", "ideal", 0, CoreConfig{});
+    obs::RunReport report;
+    suiteTimingReportEnsemble(suite, configs, report);
+    const auto &res = configs[0].results;
+    const double hm = configs[0].harmonicMeanIpc;
     ASSERT_EQ(res.size(), 12u);
     std::vector<double> ipcs;
     for (const auto &r : res) {
@@ -111,12 +117,7 @@ timingOracle(const SuiteTraces &suite,
              obs::EventTracer *tracer = nullptr)
 {
     suite.describe(report);
-    metrics.gauge("trace.cache.hits")
-        .set(static_cast<double>(suite.cacheHits()));
-    metrics.gauge("trace.cache.misses")
-        .set(static_cast<double>(suite.cacheMisses()));
-    metrics.gauge("trace.cache.format_version")
-        .set(static_cast<double>(TraceCache::kFormatVersion));
+    oracleCacheGauges(suite, metrics);
     for (TimingCellConfig &c : configs) {
         c.results.clear();
         std::vector<double> ipcs;
@@ -129,15 +130,8 @@ timingOracle(const SuiteTraces &suite,
                                             c.mode, c.budgetBytes,
                                             c.cfg, r));
             r.publishMetrics(metrics, suite.name(w));
-            for (const PredictorStat &st : pred->describeStats()) {
-                std::string name = st.name;
-                if (!name.empty() && name.back() == '}')
-                    name.insert(name.size() - 1,
-                                ",workload=" + suite.name(w));
-                else
-                    name += "{workload=" + suite.name(w) + "}";
-                metrics.gauge(name).set(st.value);
-            }
+            oraclePredictorGauges(metrics, pred->describeStats(),
+                                  suite.name(w));
             c.results.push_back(r);
             ipcs.push_back(r.ipc());
         }
@@ -240,7 +234,6 @@ TEST(TimingSweep, MatchesOracleAtAnyPoolSize)
         EXPECT_EQ(stats.batchedCells, 0u);
         EXPECT_EQ(stats.groups, 0u);
         EXPECT_EQ(stats.batchWidth, 0u);
-        EXPECT_EQ(stats.heteroGroups, 0u);
         if (pool) {
             EXPECT_EQ(pool->stats().cellsCompleted,
                       configs.size() * suite.size());

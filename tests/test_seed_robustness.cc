@@ -15,10 +15,29 @@ constexpr std::uint64_t seeds[] = {7, 1234, 987654321};
 double
 meanAt(const SuiteTraces &suite, PredictorKind kind, std::size_t budget)
 {
-    double m = 0;
-    suiteAccuracy(
-        suite, [&] { return makePredictor(kind, budget); }, &m);
-    return m;
+    std::vector<AccuracyCellConfig> configs;
+    configs.emplace_back(
+        [kind, budget] { return makePredictor(kind, budget); },
+        kindName(kind), budget);
+    obs::RunReport report;
+    suiteAccuracyReportEnsemble(suite, configs, report);
+    return configs[0].meanPercent;
+}
+
+double
+harmonicIpcAt(const SuiteTraces &suite, DelayMode mode)
+{
+    std::vector<TimingCellConfig> configs;
+    configs.emplace_back(
+        [mode] {
+            return makeFetchPredictor(PredictorKind::Perceptron,
+                                      512 * 1024, mode);
+        },
+        kindName(PredictorKind::Perceptron), delayModeName(mode),
+        512 * 1024, CoreConfig{});
+    obs::RunReport report;
+    suiteTimingReportEnsemble(suite, configs, report);
+    return configs[0].harmonicMeanIpc;
 }
 
 TEST(SeedRobustness, PredictorOrderingHoldsAcrossSeeds)
@@ -56,25 +75,11 @@ TEST(SeedRobustness, GshareFastTracksGshareAcrossSeeds)
 
 TEST(SeedRobustness, OverridingBubblesCostIpcAcrossSeeds)
 {
-    CoreConfig cfg;
     for (const auto seed : seeds) {
         SuiteTraces suite(100000, seed);
-        double ideal = 0, over = 0;
-        suiteTiming(
-            suite, cfg,
-            [] {
-                return makeFetchPredictor(PredictorKind::Perceptron,
-                                          512 * 1024, DelayMode::Ideal);
-            },
-            &ideal);
-        suiteTiming(
-            suite, cfg,
-            [] {
-                return makeFetchPredictor(PredictorKind::Perceptron,
-                                          512 * 1024,
-                                          DelayMode::Overriding);
-            },
-            &over);
+        const double ideal = harmonicIpcAt(suite, DelayMode::Ideal);
+        const double over =
+            harmonicIpcAt(suite, DelayMode::Overriding);
         EXPECT_LT(over, ideal) << "seed " << seed;
         // At the 512KB/11-cycle point the loss is substantial on
         // every seed (the paper's headline effect).

@@ -30,11 +30,17 @@ class CharacterTest : public ::testing::Test
     {
         static const std::map<std::string, AccuracyResult> acc = [] {
             std::map<std::string, AccuracyResult> m;
-            const auto res = suiteAccuracy(suite(), [] {
-                return makePredictor(PredictorKind::Gshare, 64 * 1024);
-            });
+            std::vector<AccuracyCellConfig> configs;
+            configs.emplace_back(
+                [] {
+                    return makePredictor(PredictorKind::Gshare,
+                                         64 * 1024);
+                },
+                "gshare", 64 * 1024);
+            obs::RunReport report;
+            suiteAccuracyReportEnsemble(suite(), configs, report);
             for (std::size_t i = 0; i < suite().size(); ++i)
-                m[suite().name(i)] = res[i];
+                m[suite().name(i)] = configs[0].results[i];
             return m;
         }();
         return acc;
@@ -45,14 +51,18 @@ class CharacterTest : public ::testing::Test
     {
         static const std::map<std::string, SimResult> t = [] {
             std::map<std::string, SimResult> m;
-            CoreConfig cfg;
-            const auto res = suiteTiming(suite(), cfg, [] {
-                return makeFetchPredictor(PredictorKind::GshareFast,
-                                          64 * 1024,
-                                          DelayMode::Pipelined);
-            });
+            std::vector<TimingCellConfig> configs;
+            configs.emplace_back(
+                [] {
+                    return makeFetchPredictor(PredictorKind::GshareFast,
+                                              64 * 1024,
+                                              DelayMode::Pipelined);
+                },
+                "gshare.fast", "pipelined", 64 * 1024, CoreConfig{});
+            obs::RunReport report;
+            suiteTimingReportEnsemble(suite(), configs, report);
             for (std::size_t i = 0; i < suite().size(); ++i)
-                m[suite().name(i)] = res[i];
+                m[suite().name(i)] = configs[0].results[i];
             return m;
         }();
         return t;
