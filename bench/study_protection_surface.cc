@@ -19,12 +19,14 @@
  * --monotone-upsets` gates that misprediction never improves as the
  * upset rate climbs in any (budget, policy) slice.
  *
- * Every cell runs through the HardenedSuiteRunner: pass
- * `--manifest FILE` and a killed campaign restarted with the same
- * file resumes from the first incomplete cell, producing a final
- * --report byte-identical to an uninterrupted run.
+ * Every cell runs under a robust::CellGuard (retry, a 5-minute
+ * deadline, and with `--manifest FILE` a checkpoint): a killed
+ * campaign restarted with the same file replays its finished cells
+ * and computes only the rest, producing a final --report
+ * byte-identical to an uninterrupted run.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -32,7 +34,7 @@
 
 #include "artifact_registry.hh"
 #include "common/stats.hh"
-#include "robust/hardened_runner.hh"
+#include "robust/cell_guard.hh"
 #include "robust/protection.hh"
 
 namespace bpsim {
@@ -101,163 +103,70 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
     const std::size_t timing_budget = 64 * 1024;
     const std::vector<double> timing_rates = {0.0, 1e-3};
 
-    robust::HardenedRunSummary summary;
-    if (ctx.manifestPath().empty()) {
-        // No manifest, no resume granularity to honour: run the
-        // whole surface through the cell-list sweeps. Every
-        // (budget, rate, policy) cell is a protected gshare, which
-        // the ensemble probe refuses, so each replays as its own
-        // serial cell; the rows equal the manifest path's.
-        // The injector fires every 256 updates; scrubbing sweeps
-        // every 2048, so eight injection events ride inside one
-        // scrub window.
-        std::vector<AccuracyCellConfig> acc;
-        for (std::size_t bi = 0; bi < budgets.size(); ++bi) {
-            for (std::size_t ri = 0; ri < rates.size(); ++ri) {
-                for (std::size_t pi = 0; pi < policies.size();
-                     ++pi) {
-                    const std::size_t budget = budgets[bi];
-                    const double rate = rates[ri];
-                    const robust::ProtectionPolicy policy =
-                        policies[pi];
-                    AccuracyCellConfig c;
-                    c.makeForWorkload = [kind, rate, policy, budget,
-                                         bi, ri, pi](std::size_t wi) {
-                        robust::FaultPlan plan;
-                        plan.upsetRatePerBit = rate;
-                        plan.intervalBranches = 256;
-                        plan.seed = cellSeed(bi, ri, pi, wi);
-                        return std::unique_ptr<DirectionPredictor>(
-                            makeProtectedPredictor(kind, budget,
-                                                   configFor(policy),
-                                                   plan));
-                    };
-                    c.name = cellLabel(kind, rate, policy);
-                    c.budgetBytes = budget;
-                    acc.push_back(std::move(c));
-                }
-            }
-        }
-        std::vector<TimingCellConfig> tim;
-        for (std::size_t ri = 0; ri < timing_rates.size(); ++ri) {
-            for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-                const double rate = timing_rates[ri];
-                const robust::ProtectionPolicy policy = policies[pi];
-                TimingCellConfig c;
-                c.makeForWorkload = [kind, rate, policy,
-                                     timing_budget, ri,
-                                     pi](std::size_t wi) {
-                    robust::FaultPlan plan;
-                    plan.upsetRatePerBit = rate;
-                    plan.intervalBranches = 256;
-                    plan.seed = cellSeed(77, ri, pi, wi);
-                    return std::unique_ptr<FetchPredictor>(
-                        makeProtectedFetchPredictor(
-                            kind, timing_budget, DelayMode::Overriding,
-                            configFor(policy), plan));
-                };
-                c.name = cellLabel(kind, rate, policy);
-                c.mode = delayModeName(DelayMode::Overriding);
-                c.budgetBytes = timing_budget;
-                c.cfg = cfg;
-                tim.push_back(std::move(c));
-            }
-        }
-        suiteAccuracyReportEnsemble(suite, acc, ctx.report(),
-                                    ctx.metricsIfEnabled(),
-                                    ctx.pool());
-        suiteTimingReportEnsemble(suite, tim, ctx.report(),
-                                  ctx.metricsIfEnabled(), nullptr,
-                                  ctx.pool());
-        summary.completed =
-            (acc.size() + tim.size()) * suite.size();
-    } else {
-    // A manifest was passed: keep the serial HardenedSuiteRunner
-    // path, whose one-cell-per-point granularity is what resume
-    // depends on. One cell per point so resume granularity matches
-    // report granularity. The injector fires every 256 updates;
-    // scrubbing sweeps every 2048, so eight injection events ride
-    // inside one scrub window.
-    std::vector<robust::SuiteCell> cells;
+    // One accuracy cell per (budget, rate, policy, workload) and one
+    // timing cell per (rate, policy, workload). Every cell is a
+    // protected gshare, which the ensemble probe refuses, so each
+    // replays as its own serial cell. The injector fires every 256
+    // updates; scrubbing sweeps every 2048, so eight injection events
+    // ride inside one scrub window.
+    std::vector<AccuracyCellConfig> acc;
     for (std::size_t bi = 0; bi < budgets.size(); ++bi) {
         for (std::size_t ri = 0; ri < rates.size(); ++ri) {
             for (std::size_t pi = 0; pi < policies.size(); ++pi) {
                 const std::size_t budget = budgets[bi];
                 const double rate = rates[ri];
                 const robust::ProtectionPolicy policy = policies[pi];
-                const std::string label =
-                    cellLabel(kind, rate, policy);
-                for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-                    obs::RunReport::Row probe;
-                    probe.workload = suite.name(wi);
-                    probe.predictor = label;
-                    probe.budgetBytes = budget;
-                    cells.push_back(
-                        {probe.key(),
-                         [&suite, kind, rate, policy, label, budget,
-                          bi, ri, pi,
-                          wi](const robust::Deadline &deadline) {
-                             robust::FaultPlan plan;
-                             plan.upsetRatePerBit = rate;
-                             plan.intervalBranches = 256;
-                             plan.seed = cellSeed(bi, ri, pi, wi);
-                             auto pred = makeProtectedPredictor(
-                                 kind, budget, configFor(policy),
-                                 plan);
-                             const AccuracyResult r = runAccuracy(
-                                 *pred, suite.trace(wi),
-                                 [&deadline] {
-                                     deadline.check(
-                                         "protection cell");
-                                 });
-                             return reportRow(suite.name(wi), label,
-                                              budget, r);
-                         }});
-                }
+                AccuracyCellConfig c;
+                c.makeForWorkload = [kind, rate, policy, budget, bi, ri,
+                                     pi](std::size_t wi) {
+                    robust::FaultPlan plan;
+                    plan.upsetRatePerBit = rate;
+                    plan.intervalBranches = 256;
+                    plan.seed = cellSeed(bi, ri, pi, wi);
+                    return std::unique_ptr<DirectionPredictor>(
+                        makeProtectedPredictor(kind, budget,
+                                               configFor(policy), plan));
+                };
+                c.name = cellLabel(kind, rate, policy);
+                c.budgetBytes = budget;
+                acc.push_back(std::move(c));
             }
         }
     }
+    std::vector<TimingCellConfig> tim;
     for (std::size_t ri = 0; ri < timing_rates.size(); ++ri) {
         for (std::size_t pi = 0; pi < policies.size(); ++pi) {
             const double rate = timing_rates[ri];
             const robust::ProtectionPolicy policy = policies[pi];
-            const std::string label = cellLabel(kind, rate, policy);
-            for (std::size_t wi = 0; wi < suite.size(); ++wi) {
-                obs::RunReport::Row probe;
-                probe.workload = suite.name(wi);
-                probe.predictor = label;
-                probe.mode = delayModeName(DelayMode::Overriding);
-                probe.budgetBytes = timing_budget;
-                cells.push_back(
-                    {probe.key(),
-                     [&suite, &cfg, kind, rate, policy, label,
-                      timing_budget, ri, pi,
-                      wi](const robust::Deadline &) {
-                         robust::FaultPlan plan;
-                         plan.upsetRatePerBit = rate;
-                         plan.intervalBranches = 256;
-                         plan.seed = cellSeed(77, ri, pi, wi);
-                         auto pred = makeProtectedFetchPredictor(
-                             kind, timing_budget,
-                             DelayMode::Overriding,
-                             configFor(policy), plan);
-                         const SimResult r =
-                             runTiming(cfg, *pred, suite.trace(wi));
-                         return reportRow(
-                             suite.name(wi), label,
-                             delayModeName(DelayMode::Overriding),
-                             timing_budget, cfg, r);
-                     }});
-            }
+            TimingCellConfig c;
+            c.makeForWorkload = [kind, rate, policy, timing_budget, ri,
+                                 pi](std::size_t wi) {
+                robust::FaultPlan plan;
+                plan.upsetRatePerBit = rate;
+                plan.intervalBranches = 256;
+                plan.seed = cellSeed(77, ri, pi, wi);
+                return std::unique_ptr<FetchPredictor>(
+                    makeProtectedFetchPredictor(
+                        kind, timing_budget, DelayMode::Overriding,
+                        configFor(policy), plan));
+            };
+            c.name = cellLabel(kind, rate, policy);
+            c.mode = delayModeName(DelayMode::Overriding);
+            c.budgetBytes = timing_budget;
+            c.cfg = cfg;
+            tim.push_back(std::move(c));
         }
     }
 
-    robust::HardenedSuiteRunner runner(ctx.manifestPath(),
-                                       robust::RetryPolicy{},
-                                       std::chrono::minutes{5},
-                                       ctx.pool());
-    summary = runner.run(cells, ctx.report());
-    }
+    const robust::CellGuard guard{ctx.manifestPath(),
+                                  robust::RetryPolicy{},
+                                  std::chrono::minutes{5}};
+    const EnsembleStats a = suiteAccuracyReportEnsemble(
+        suite, acc, ctx.report(), ctx.metricsIfEnabled(), ctx.pool(),
+        &guard);
+    const EnsembleStats t = suiteTimingReportEnsemble(
+        suite, tim, ctx.report(), ctx.metricsIfEnabled(), nullptr,
+        ctx.pool(), &guard);
 
     // Reduce report rows back to the surface tables. Keys:
     // (label, budget) for accuracy, label for the timing slice.
@@ -364,12 +273,12 @@ run(const ArtifactSpec &spec, SweepContext &ctx)
 
     ctx.printf("\ncells: %zu completed, %zu resumed from manifest, "
                "%zu failed (%zu retries)\n",
-               summary.completed, summary.resumed, summary.failed,
-               summary.retries);
+               a.completed + t.completed, a.resumed + t.resumed,
+               a.failed + t.failed, a.retries + t.retries);
     if (!ctx.manifestPath().empty())
         ctx.printf("manifest: %s\n", ctx.manifestPath().c_str());
 
-    return summary.allOk() ? 0 : 1;
+    return a.failed + t.failed == 0 ? 0 : 1;
 }
 
 } // namespace

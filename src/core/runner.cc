@@ -1,5 +1,6 @@
 #include "core/runner.hh"
 
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <typeindex>
@@ -9,6 +10,9 @@
 #include "core/dispatch.hh"
 #include "core/ensemble.hh"
 #include "parallel/cell_pool.hh"
+#include "robust/cell_guard.hh"
+#include "robust/deadline.hh"
+#include "robust/run_manifest.hh"
 #include "trace/shared_trace_pool.hh"
 #include "workloads/registry.hh"
 
@@ -261,6 +265,160 @@ publishCacheStats(obs::MetricRegistry &reg, const SuiteTraces &suite)
         .set(static_cast<double>(TraceCache::kFormatVersion));
 }
 
+/** The RunReport / manifest key of one cell, before it has run. */
+std::string
+cellKey(const std::string &workload, const std::string &predictor,
+        const std::string &mode, std::size_t budget_bytes)
+{
+    obs::RunReport::Row row;
+    row.workload = workload;
+    row.predictor = predictor;
+    row.mode = mode;
+    row.budgetBytes = budget_bytes;
+    return row.key();
+}
+
+/** The SimResult fields a timing row carries (a resumed cell's). */
+SimResult
+simResultFromRow(const obs::RunReport::Row &row)
+{
+    SimResult r;
+    r.condBranches = row.branches;
+    r.mispredictions = row.mispredictions;
+    r.cycles = row.cycles;
+    r.instructions = row.instructions;
+    r.squashedUops = row.squashedUops;
+    r.flushes = row.flushes;
+    r.overrideStallCycles = row.flushCyclesOverride;
+    r.mispredictWaitCycles = row.flushCyclesMispredict;
+    r.icacheStallCycles = row.stallCyclesIcache;
+    r.btbStallCycles = row.stallCyclesBtb;
+    r.robStallCycles = row.robStallCycles;
+    return r;
+}
+
+/** How one cell of a sweep ended. */
+enum class CellFate { Computed, Resumed, Failed };
+
+/**
+ * Per-cell bookkeeping of one sweep. Without a robust::CellGuard it
+ * runs each cell once and appends its row. With one, each cell runs
+ * under the guard's retry policy with a fresh deadline per attempt,
+ * a cell the manifest already holds is skipped and replayed from its
+ * cached row, a cell that exhausts its retries is annotated, and the
+ * manifest is saved after every commit. Cells are indexed in commit
+ * order; compute() may run on pool workers (it writes only its own
+ * slot), commit() runs on the calling thread in index order.
+ */
+class CellLedger
+{
+  public:
+    /** @p key names cell i like its report row; called only when
+     *  guarded. The outcome counts (completed, resumed, failed,
+     *  retries) accumulate into @p stats. Opening the manifest may
+     *  throw RunManifestError. */
+    CellLedger(const robust::CellGuard *guard, std::size_t count,
+               const SuiteTraces &suite, const obs::RunReport &report,
+               std::function<std::string(std::size_t)> key,
+               EnsembleStats &stats)
+        : guard_(guard), key_(std::move(key)), failed_(count, 0),
+          stats_(stats)
+    {
+        if (!guard_)
+            return;
+        outcomes_.resize(count);
+        resumed_.assign(count, 0);
+        manifest_ = guard_->manifestPath.empty()
+                        ? robust::RunManifest(report.experiment,
+                                              suite.opsPerWorkload(),
+                                              suite.seed())
+                        : robust::RunManifest::open(
+                              guard_->manifestPath, report.experiment,
+                              suite.opsPerWorkload(), suite.seed());
+        // Read once up front so workers never touch the manifest.
+        for (std::size_t i = 0; i < count; ++i)
+            resumed_[i] = manifest_.isDone(key_(i)) ? 1 : 0;
+    }
+
+    /** Run cell @p i as @p fn(deadline): once under an unlimited
+     *  deadline without a guard, else retried unless resumed. */
+    void
+    compute(std::size_t i,
+            const std::function<void(const robust::Deadline &)> &fn)
+    {
+        if (!guard_) {
+            fn(robust::Deadline::unlimited());
+            return;
+        }
+        if (resumed_[i])
+            return;
+        outcomes_[i] = robust::retryCall(guard_->retry, [&] {
+            fn(guard_->cellTimeout.count() > 0
+                   ? robust::Deadline::after(guard_->cellTimeout)
+                   : robust::Deadline::unlimited());
+        });
+    }
+
+    /**
+     * Commit cell @p i: append @p row() when it computed, its cached
+     * row when resumed, or an annotation when it failed; record the
+     * outcome in the manifest and save it.
+     */
+    CellFate
+    commit(std::size_t i, obs::RunReport &report,
+           const std::function<obs::RunReport::Row()> &row)
+    {
+        if (!guard_) {
+            report.rows.push_back(row());
+            ++stats_.completed;
+            return CellFate::Computed;
+        }
+        const std::string key = key_(i);
+        if (resumed_[i]) {
+            report.rows.push_back(
+                obs::RunReport::Row::fromJson(manifest_.find(key)->row));
+            ++stats_.resumed;
+            return CellFate::Resumed;
+        }
+        const robust::RetryResult &r = outcomes_[i];
+        stats_.retries += r.attempts > 0 ? r.attempts - 1 : 0;
+        CellFate fate = CellFate::Computed;
+        if (r.succeeded) {
+            report.rows.push_back(row());
+            manifest_.markDone(key, r.attempts,
+                               report.rows.back().toJson());
+            ++stats_.completed;
+        } else {
+            manifest_.markFailed(key, r.attempts, r.lastError);
+            report.annotations.push_back(
+                {key, "failed after " + std::to_string(r.attempts) +
+                          " attempt(s): " + r.lastError});
+            std::fprintf(stderr,
+                         "robust: cell %s failed after %u "
+                         "attempt(s): %s\n",
+                         key.c_str(), r.attempts, r.lastError.c_str());
+            failed_[i] = 1;
+            ++stats_.failed;
+            fate = CellFate::Failed;
+        }
+        if (!guard_->manifestPath.empty())
+            manifest_.save(guard_->manifestPath);
+        return fate;
+    }
+
+    /** True when cell @p i committed as a failure (it has no row). */
+    bool failed(std::size_t i) const { return failed_[i] != 0; }
+
+  private:
+    const robust::CellGuard *guard_;
+    std::function<std::string(std::size_t)> key_;
+    robust::RunManifest manifest_;
+    std::vector<char> resumed_;
+    std::vector<char> failed_;
+    std::vector<robust::RetryResult> outcomes_;
+    EnsembleStats &stats_;
+};
+
 } // namespace
 
 EnsembleStats
@@ -268,7 +426,8 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
                             std::vector<AccuracyCellConfig> &configs,
                             obs::RunReport &report,
                             obs::MetricRegistry *metrics,
-                            parallel::CellPool *pool)
+                            parallel::CellPool *pool,
+                            const robust::CellGuard *guard)
 {
     suite.describe(report);
     if (metrics)
@@ -292,16 +451,23 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
     // two wide, and the escape hatch is off. Wrapped members
     // (fault-injecting, protected) and unknown user types fail that
     // probe; they, lone configs and every config when BPSIM_ENSEMBLE=0
-    // run one (config, workload) cell at a time through runAccuracy().
+    // or a guard is passed run one (config, workload) cell at a time
+    // through runAccuracy(). A guarded sweep thus never lets one
+    // failure span several cells, and its compute cells are exactly
+    // its config-major rows.
     std::vector<std::vector<std::size_t>> groups;
+    std::vector<std::size_t> groupOf(nc);
     {
         std::map<std::type_index, std::size_t> byType;
         std::vector<std::vector<std::size_t>> candidates;
-        const bool enabled = ensembleEnabled();
+        const bool batching = ensembleEnabled() && !guard;
         for (std::size_t c = 0; c < nc; ++c) {
+            if (!batching) {
+                groups.push_back({c});
+                continue;
+            }
             const auto probe = makePred(c, 0);
-            if (!enabled ||
-                !withConcretePredictor(*probe, [](auto &) {})) {
+            if (!withConcretePredictor(*probe, [](auto &) {})) {
                 groups.push_back({c});
                 continue;
             }
@@ -314,6 +480,9 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
         }
         for (auto &g : candidates)
             groups.push_back(std::move(g));
+        for (std::size_t g = 0; g < groups.size(); ++g)
+            for (std::size_t c : groups[g])
+                groupOf[c] = g;
     }
 
     EnsembleStats stats;
@@ -327,23 +496,28 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
         }
     }
 
+    CellLedger ledger(
+        guard, nc * nw, suite, report,
+        [&](std::size_t i) {
+            const AccuracyCellConfig &c = configs[i / nw];
+            return cellKey(suite.name(i % nw), c.name, "", c.budgetBytes);
+        },
+        stats);
+
     // Compute phase: one cell per (group, workload), fanned out on
     // the pool when one is passed. Each cell builds its own member
     // predictors, so cells stay independent; predictors are kept
-    // until the emission phase publishes their describeStats().
+    // until their row commits and publishes their describeStats().
     std::vector<std::vector<std::unique_ptr<DirectionPredictor>>>
         preds(nc);
     for (auto &row : preds)
         row.resize(nw);
     for (auto &cfg : configs)
         cfg.results.assign(nw, AccuracyResult{});
-    const std::size_t cellCount = groups.size() * nw;
-    forEachCell(
-        pool, cellCount,
-        [&](std::size_t cell) {
-            const std::vector<std::size_t> &g =
-                groups[cell / nw];
-            const std::size_t w = cell % nw;
+    const auto compute = [&](std::size_t cell) {
+        const std::vector<std::size_t> &g = groups[cell / nw];
+        const std::size_t w = cell % nw;
+        ledger.compute(cell, [&](const robust::Deadline &deadline) {
             std::vector<DirectionPredictor *> members;
             members.reserve(g.size());
             for (std::size_t c : g) {
@@ -356,31 +530,57 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
                 for (std::size_t k = 0; k < g.size(); ++k)
                     configs[g[k]].results[w] = results[k];
             } else {
+                const auto poll = [&] {
+                    deadline.check("accuracy cell");
+                };
                 for (std::size_t k = 0; k < g.size(); ++k)
-                    configs[g[k]].results[w] = runAccuracy(
-                        *members[k], suite.trace(w));
+                    configs[g[k]].results[w] =
+                        deadline.unlimitedBudget()
+                            ? runAccuracy(*members[k], suite.trace(w))
+                            : runAccuracy(*members[k], suite.trace(w),
+                                          poll);
             }
-        },
-        [](std::size_t) {});
+        });
+    };
 
-    // Emission phase, config-major / workload-minor: byte-identical
+    // Commit phase, config-major / workload-minor: byte-identical
     // report rows and metrics to running the configs one after
-    // another, each over every workload in suite order.
-    for (std::size_t c = 0; c < nc; ++c) {
-        std::vector<double> percents(nw);
-        for (std::size_t w = 0; w < nw; ++w) {
-            percents[w] = configs[c].results[w].percent();
-            report.rows.push_back(
-                reportRow(suite.name(w), configs[c].name,
-                          configs[c].budgetBytes,
-                          configs[c].results[w]));
-            if (metrics)
-                publishPredictorStats(*metrics, *preds[c][w],
-                                      suite.name(w));
-            preds[c][w].reset();
+    // another, each over every workload in suite order. Row (c, w)
+    // goes out once its group's cell at workload w has committed.
+    const auto emit = [&](std::size_t c, std::size_t w) {
+        AccuracyCellConfig &cfg = configs[c];
+        const std::size_t i = c * nw + w;
+        const CellFate fate = ledger.commit(i, report, [&] {
+            return reportRow(suite.name(w), cfg.name, cfg.budgetBytes,
+                             cfg.results[w]);
+        });
+        if (fate == CellFate::Resumed) {
+            const obs::RunReport::Row &row = report.rows.back();
+            cfg.results[w] = {row.branches, row.mispredictions};
+        } else if (fate == CellFate::Computed && metrics) {
+            publishPredictorStats(*metrics, *preds[c][w], suite.name(w));
         }
-        configs[c].meanPercent = arithmeticMean(percents);
-    }
+        preds[c][w].reset();
+        if (w + 1 == nw) {
+            std::vector<double> percents;
+            percents.reserve(nw);
+            for (std::size_t k = 0; k < nw; ++k)
+                if (!ledger.failed(c * nw + k))
+                    percents.push_back(cfg.results[k].percent());
+            cfg.meanPercent = arithmeticMean(percents);
+        }
+    };
+    std::size_t next = 0; // next row to emit, config-major
+    forEachCell(pool, groups.size() * nw, compute,
+                [&](std::size_t cell) {
+                    for (; next < nc * nw; ++next) {
+                        const std::size_t c = next / nw;
+                        const std::size_t w = next % nw;
+                        if (groupOf[c] * nw + w > cell)
+                            break;
+                        emit(c, w);
+                    }
+                });
 
     if (metrics) {
         metrics->gauge("core.ensemble.batched_cells")
@@ -401,7 +601,8 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
                           obs::RunReport &report,
                           obs::MetricRegistry *metrics,
                           obs::EventTracer *tracer,
-                          parallel::CellPool *pool)
+                          parallel::CellPool *pool,
+                          const robust::CellGuard *guard)
 {
     suite.describe(report);
     if (metrics)
@@ -410,8 +611,20 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
     const std::size_t nw = suite.size();
     for (TimingCellConfig &c : configs)
         c.results.assign(nw, SimResult{});
+    EnsembleStats stats;
+    stats.serialCells = nc * nw;
+    CellLedger ledger(
+        guard, nc * nw, suite, report,
+        [&](std::size_t i) {
+            const TimingCellConfig &c = configs[i / nw];
+            return cellKey(suite.name(i % nw), c.name, c.mode,
+                           c.budgetBytes);
+        },
+        stats);
     // One cell per (config, workload), config-major. A cell's
     // predictor lives until its commit publishes describeStats().
+    // Timing cells never poll the deadline: OooCore's livelock guard
+    // bounds them.
     std::vector<std::unique_ptr<FetchPredictor>> preds(nc * nw);
     // An event tracer records a single ordered stream; never fan its
     // runs out across workers.
@@ -420,18 +633,23 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
         [&](std::size_t cell) {
             TimingCellConfig &c = configs[cell / nw];
             const std::size_t w = cell % nw;
-            preds[cell] =
-                c.makeForWorkload ? c.makeForWorkload(w) : c.make();
-            c.results[w] =
-                runTiming(c.cfg, *preds[cell], suite.trace(w), tracer);
+            ledger.compute(cell, [&](const robust::Deadline &) {
+                preds[cell] =
+                    c.makeForWorkload ? c.makeForWorkload(w) : c.make();
+                c.results[w] = runTiming(c.cfg, *preds[cell],
+                                         suite.trace(w), tracer);
+            });
         },
         [&](std::size_t cell) {
             TimingCellConfig &c = configs[cell / nw];
             const std::size_t w = cell % nw;
-            report.rows.push_back(reportRow(suite.name(w), c.name,
-                                            c.mode, c.budgetBytes,
-                                            c.cfg, c.results[w]));
-            if (metrics) {
+            const CellFate fate = ledger.commit(cell, report, [&] {
+                return reportRow(suite.name(w), c.name, c.mode,
+                                 c.budgetBytes, c.cfg, c.results[w]);
+            });
+            if (fate == CellFate::Resumed) {
+                c.results[w] = simResultFromRow(report.rows.back());
+            } else if (fate == CellFate::Computed && metrics) {
                 c.results[w].publishMetrics(*metrics, suite.name(w));
                 publishPredictorStats(*metrics, *preds[cell],
                                       suite.name(w));
@@ -440,14 +658,13 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
             if (w + 1 == nw) {
                 std::vector<double> ipcs;
                 ipcs.reserve(nw);
-                for (const SimResult &r : c.results)
-                    ipcs.push_back(r.ipc());
+                for (std::size_t k = 0; k < nw; ++k)
+                    if (!ledger.failed(cell - w + k))
+                        ipcs.push_back(c.results[k].ipc());
                 c.harmonicMeanIpc = harmonicMean(ipcs);
             }
         });
 
-    EnsembleStats stats;
-    stats.serialCells = nc * nw;
     return stats;
 }
 

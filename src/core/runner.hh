@@ -12,6 +12,15 @@
  * byte-identical to the serial one. The predictor factory closure is
  * then invoked concurrently and must be safe to call from multiple
  * threads (the stock makePredictor/makeFetchPredictor factories are).
+ *
+ * Both also take an optional robust::CellGuard (robust/cell_guard.hh),
+ * the one hardened execution path: each cell is retried under a fresh
+ * deadline, a cell that exhausts its retries becomes a report
+ * annotation instead of an exception, and with a manifest path every
+ * commit checkpoints the campaign, so a killed sweep restarted with
+ * the same manifest replays its finished cells and writes a report
+ * byte-identical to an uninterrupted one. A replayed cell publishes
+ * no predictor gauges (its predictor never ran).
  */
 
 #ifndef BPSIM_CORE_RUNNER_HH
@@ -39,6 +48,10 @@ namespace bpsim {
 namespace parallel {
 class CellPool;
 } // namespace parallel
+
+namespace robust {
+struct CellGuard;
+} // namespace robust
 
 /** Result of an accuracy-only run. */
 struct AccuracyResult
@@ -225,7 +238,9 @@ struct AccuracyCellConfig
 /**
  * How a sweep executed. Only accuracy sweeps batch (published as
  * core.ensemble.*); a timing sweep reports every cell in
- * serialCells and zero in every other field.
+ * serialCells and zero in the batching fields. The outcome fields
+ * count (config, workload) cells; without a guard every cell
+ * completes (or the sweep throws).
  */
 struct EnsembleStats
 {
@@ -239,6 +254,15 @@ struct EnsembleStats
     std::size_t groups = 0;
     /** Widest batched accuracy group (member count). */
     std::size_t batchWidth = 0;
+
+    /** Cells computed to a row in this call. */
+    std::size_t completed = 0;
+    /** Cells replayed from the guard's manifest. */
+    std::size_t resumed = 0;
+    /** Cells that exhausted the guard's retries (annotated). */
+    std::size_t failed = 0;
+    /** Extra attempts spent on retried cells. */
+    std::size_t retries = 0;
 };
 
 /**
@@ -252,8 +276,10 @@ struct EnsembleStats
  * configs of one type the monomorphic dispatcher knows batch
  * together. Lone configs, configs wrapped in the robustness
  * decorators (FaultInjectingPredictor, ProtectedPredictor), unknown
- * user types, and every config when BPSIM_ENSEMBLE=0 run one
- * (config, workload) cell at a time through runAccuracy().
+ * user types, and every config when BPSIM_ENSEMBLE=0 or @p guard is
+ * set run one (config, workload) cell at a time through
+ * runAccuracy(); a guarded cell polls its deadline every 65,536
+ * branches.
  *
  * Equivalence contract: the appended report rows, the published
  * metrics (bar the extra core.ensemble.* gauges) and each config's
@@ -263,13 +289,17 @@ struct EnsembleStats
  * all cells compute. Each config's predictors publish their
  * describeStats() gauges into @p metrics (when non-null) under
  * `{workload=...}` labels, with the suite's trace-cache gauges
- * stamped once.
+ * stamped once. With @p guard, see the file comment; the manifest
+ * must carry report.experiment and the suite's trace length and seed
+ * (robust::RunManifest::open), and a failed cell leaves its result
+ * zeroed and out of meanPercent.
  */
 EnsembleStats suiteAccuracyReportEnsemble(
     const SuiteTraces &suite,
     std::vector<AccuracyCellConfig> &configs,
     obs::RunReport &report, obs::MetricRegistry *metrics = nullptr,
-    parallel::CellPool *pool = nullptr);
+    parallel::CellPool *pool = nullptr,
+    const robust::CellGuard *guard = nullptr);
 
 /**
  * One configuration of a timing sweep: a fetch-predictor factory
@@ -333,13 +363,17 @@ struct TimingCellConfig
  * Figure 7/8 reduction). A non-null @p tracer records every run's
  * events and forces serial execution — the event stream is
  * ordered. Returns serialCells = configs x workloads; timing cells
- * are never batched, whatever BPSIM_ENSEMBLE says.
+ * are never batched, whatever BPSIM_ENSEMBLE says. @p guard works as
+ * for accuracy sweeps, except that timing cells never poll the
+ * deadline (OooCore's livelock guard bounds them); a failed cell
+ * stays out of harmonicMeanIpc.
  */
 EnsembleStats suiteTimingReportEnsemble(
     const SuiteTraces &suite, std::vector<TimingCellConfig> &configs,
     obs::RunReport &report, obs::MetricRegistry *metrics = nullptr,
     obs::EventTracer *tracer = nullptr,
-    parallel::CellPool *pool = nullptr);
+    parallel::CellPool *pool = nullptr,
+    const robust::CellGuard *guard = nullptr);
 
 /**
  * Default trace length for benches; reads BPSIM_OPS_PER_WORKLOAD

@@ -6,11 +6,11 @@
  * preemptive watchdog (signals, killer threads) would leave state
  * unrecoverable. Instead a Deadline is a steady-clock budget that
  * long loops poll: check() throws DeadlineExceeded once the budget
- * is spent, unwinding cleanly through the cell boundary where the
- * hardened runner catches it, annotates the cell as timed out and
- * moves on. runAccuracy()'s poll hook (core/runner.hh) calls check()
- * every few thousand ops, bounding detection latency without a
- * per-iteration cost.
+ * is spent, unwinding cleanly through the cell boundary where a
+ * guarded sweep (robust::CellGuard) catches it, retries the cell and
+ * at worst annotates it as timed out and moves on. runAccuracy()'s
+ * poll hook (core/runner.hh) calls check() every 65,536 branches,
+ * bounding detection latency without a per-iteration cost.
  *
  * Tests construct deadlines from an explicit fake "now" so timeout
  * paths are exercised without real waiting.

@@ -13,8 +13,8 @@
  *
  * retryCall() runs a callable under a policy, treating any thrown
  * std::exception as a retriable failure, and reports how many
- * attempts were spent. Sleeping is pluggable so tests (and the
- * hardened runner's dry mode) never actually block.
+ * attempts were spent. Sleeping is pluggable so tests never
+ * actually block.
  */
 
 #ifndef BPSIM_ROBUST_RETRY_HH

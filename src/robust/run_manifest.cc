@@ -99,6 +99,8 @@ RunManifest::toJson() const
     j.set("schema_version", obs::Json(kSchemaVersion));
     j.set("tool", obs::Json("bpsim-manifest"));
     j.set("experiment", obs::Json(experiment_));
+    j.set("ops_per_workload", obs::Json(opsPerWorkload_));
+    j.set("seed", obs::Json(seed_));
     obs::Json arr = obs::Json::array();
     for (const CellRecord &c : cells_) {
         obs::Json e = obs::Json::object();
@@ -125,7 +127,9 @@ RunManifest::fromJson(const obs::Json &j)
             throw RunManifestError(
                 "unsupported manifest schema_version " +
                 std::to_string(version));
-        RunManifest m(j.get("experiment").asString());
+        RunManifest m(j.get("experiment").asString(),
+                      j.get("ops_per_workload").asU64(),
+                      j.get("seed").asU64());
         for (const obs::Json &e : j.get("cells").items()) {
             CellRecord &c = m.upsert(e.get("key").asString());
             c.status = statusFromName(e.get("status").asString());
@@ -184,6 +188,33 @@ RunManifest::exists(const std::string &path)
 {
     std::ifstream is(path);
     return static_cast<bool>(is);
+}
+
+RunManifest
+RunManifest::open(const std::string &path, const std::string &experiment,
+                  Counter ops_per_workload, std::uint64_t seed)
+{
+    if (!exists(path))
+        return RunManifest(experiment, ops_per_workload, seed);
+    RunManifest m = load(path);
+    const auto mismatch = [&](const std::string &what,
+                              const std::string &have,
+                              const std::string &want) {
+        throw RunManifestError(path + ": " + what + " is " + have +
+                               ", this campaign's is " + want +
+                               "; refusing to resume");
+    };
+    if (m.experiment_ != experiment)
+        mismatch("experiment", "'" + m.experiment_ + "'",
+                 "'" + experiment + "'");
+    if (m.opsPerWorkload_ != ops_per_workload)
+        mismatch("ops_per_workload",
+                 std::to_string(m.opsPerWorkload_),
+                 std::to_string(ops_per_workload));
+    if (m.seed_ != seed)
+        mismatch("seed", std::to_string(m.seed_),
+                 std::to_string(seed));
+    return m;
 }
 
 } // namespace bpsim::robust

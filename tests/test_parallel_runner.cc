@@ -11,17 +11,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/runner.hh"
+#include "guarded_sweep_fixtures.hh"
 #include "predictors/static_pred.hh"
-#include "robust/hardened_runner.hh"
+#include "robust/run_manifest.hh"
 
 namespace bpsim {
 namespace {
@@ -147,14 +150,6 @@ TEST(JobsResolution, EnvAndFallbacks)
 // run's RunReport JSON is byte-identical to the serial one.
 // ---------------------------------------------------------------------
 
-obs::RunReport
-freshReport()
-{
-    obs::RunReport report;
-    report.experiment = "parallel_determinism";
-    return report;
-}
-
 TEST(ParallelSuite, TraceGenerationMatchesSerial)
 {
     const SuiteTraces serial(8000, 11);
@@ -188,7 +183,7 @@ TEST(ParallelSuite, AccuracyReportByteIdenticalAtAnyJobCount)
         return v;
     };
 
-    obs::RunReport serial = freshReport();
+    obs::RunReport serial = freshReport("parallel_determinism");
     obs::MetricRegistry serialMetrics;
     auto serialConfigs = configs();
     suiteAccuracyReportEnsemble(suite, serialConfigs, serial,
@@ -200,7 +195,7 @@ TEST(ParallelSuite, AccuracyReportByteIdenticalAtAnyJobCount)
     // jobs > cells (32 vs 12) is deliberately included.
     for (unsigned jobs : {2u, 4u, 32u}) {
         CellPool pool(jobs);
-        obs::RunReport report = freshReport();
+        obs::RunReport report = freshReport("parallel_determinism");
         obs::MetricRegistry metrics;
         auto pooled = configs();
         suiteAccuracyReportEnsemble(suite, pooled, report, &metrics,
@@ -229,7 +224,7 @@ TEST(ParallelSuite, TimingReportByteIdenticalAtAnyJobCount)
              "gshare.fast", "ideal", 16 * 1024, CoreConfig{}}};
     };
 
-    obs::RunReport serial = freshReport();
+    obs::RunReport serial = freshReport("parallel_determinism");
     obs::MetricRegistry serialMetrics;
     auto serialConfigs = configs();
     suiteTimingReportEnsemble(suite, serialConfigs, serial,
@@ -240,7 +235,7 @@ TEST(ParallelSuite, TimingReportByteIdenticalAtAnyJobCount)
 
     for (unsigned jobs : {2u, 4u}) {
         CellPool pool(jobs);
-        obs::RunReport report = freshReport();
+        obs::RunReport report = freshReport("parallel_determinism");
         obs::MetricRegistry metrics;
         auto pooled = configs();
         suiteTimingReportEnsemble(suite, pooled, report, &metrics,
@@ -256,54 +251,32 @@ TEST(ParallelSuite, TimingReportByteIdenticalAtAnyJobCount)
 }
 
 // ---------------------------------------------------------------------
-// Hardened campaigns on the pool: single-writer manifest, cell-order
-// rows, and resume that stays byte-identical.
+// Guarded sweeps on the pool: single-writer manifest, cell-order
+// rows and annotations, and resume that stays byte-identical.
 // ---------------------------------------------------------------------
 
-obs::RunReport::Row
-hardenedRow(const std::string &workload, Counter mispredictions)
+TEST(ParallelGuarded, ReportByteIdenticalToSerial)
 {
-    obs::RunReport::Row row;
-    row.workload = workload;
-    row.predictor = "gshare";
-    row.budgetBytes = 1024;
-    row.branches = 1000;
-    row.mispredictions = mispredictions;
-    return row;
-}
-
-std::vector<robust::SuiteCell>
-hardenedCells(std::size_t n)
-{
-    std::vector<robust::SuiteCell> cells;
-    for (std::size_t i = 0; i < n; ++i) {
-        const obs::RunReport::Row row =
-            hardenedRow("wl" + std::to_string(i), 100 + i);
-        cells.push_back(
-            {row.key(),
-             [row](const robust::Deadline &) { return row; }});
-    }
-    return cells;
-}
-
-TEST(ParallelHardened, ReportByteIdenticalToSerial)
-{
+    const robust::CellGuard guard = guardFor("");
     obs::RunReport serial = freshReport();
-    robust::HardenedSuiteRunner serialRunner("", robust::RetryPolicy{});
-    const auto serialSummary =
-        serialRunner.run(hardenedCells(8), serial);
-    EXPECT_EQ(serialSummary.completed, 8u);
-    const std::string serialBytes = serial.toJson().dump(2);
+    obs::MetricRegistry serialMetrics;
+    auto serialConfigs = gshareConfigs();
+    const EnsembleStats serialStats = suiteAccuracyReportEnsemble(
+        smallSuite(), serialConfigs, serial, &serialMetrics, nullptr,
+        &guard);
+    EXPECT_EQ(serialStats.completed, 2 * smallSuite().size());
+    EXPECT_EQ(serial.toJson().dump(2), referenceBytes());
 
     CellPool pool(4);
     obs::RunReport report = freshReport();
-    robust::HardenedSuiteRunner runner("", robust::RetryPolicy{},
-                                       std::chrono::milliseconds{0},
-                                       &pool);
-    const auto summary = runner.run(hardenedCells(8), report);
-    EXPECT_EQ(summary.completed, 8u);
-    EXPECT_TRUE(summary.allOk());
-    EXPECT_EQ(report.toJson().dump(2), serialBytes);
+    obs::MetricRegistry metrics;
+    auto configs = gshareConfigs();
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        smallSuite(), configs, report, &metrics, &pool, &guard);
+    EXPECT_EQ(stats.completed, serialStats.completed);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(report.toJson().dump(2), serial.toJson().dump(2));
+    EXPECT_EQ(metrics.toJson().dump(2), serialMetrics.toJson().dump(2));
 }
 
 TEST(CellPool, RetryExhaustionSurfacesSerialExactLowestIndex)
@@ -348,149 +321,132 @@ TEST(CellPool, RetryExhaustionSurfacesSerialExactLowestIndex)
     EXPECT_GE(sleeps.load(), 1u);
 }
 
-TEST(ParallelHardened, DeadlineExhaustionAnnotatesSerialExact)
+TEST(ParallelGuarded, DeadlineExhaustionAnnotatesSerialExact)
 {
     // Deadline + RetryPolicy composed under a parallel run: two
-    // cells blow their per-attempt deadline on every try. The
-    // parallel campaign must finish the healthy cells, annotate the
+    // cells outlive their per-attempt deadline on every try. The
+    // parallel sweep must finish the healthy cells, annotate the
     // exhausted ones with the serial-exact message, and produce a
-    // report byte-identical to the serial campaign's.
-    const auto buildCells = [] {
-        std::vector<robust::SuiteCell> cells;
-        for (std::size_t i = 0; i < 8; ++i) {
-            const obs::RunReport::Row row =
-                hardenedRow("wl" + std::to_string(i), 100 + i);
-            const bool slow = i == 2 || i == 6;
-            cells.push_back(
-                {row.key(), [row, slow](const robust::Deadline &d) {
-                     if (slow) {
-                         // Burn past the 1ms budget, then poll the
-                         // way runAccuracy's hook would.
-                         std::this_thread::sleep_for(
-                             std::chrono::milliseconds{5});
-                         d.check(row.workload);
-                     }
-                     return row;
-                 }});
-        }
-        return cells;
+    // report byte-identical to the serial sweep's. The replay polls
+    // every 65,536 branches, so the traces must reach a poll.
+    const SuiteTraces suite(400000, 7);
+    ASSERT_GT(suite.trace(2).branchView().size(), 65536u);
+    ASSERT_GT(suite.trace(7).branchView().size(), 65536u);
+    const auto configs = [] {
+        std::vector<AccuracyCellConfig> v(1);
+        v[0].makeForWorkload = [](std::size_t w) {
+            return w == 2 || w == 7
+                       ? std::unique_ptr<DirectionPredictor>(
+                             std::make_unique<StallingPredictor>())
+                       : makePredictor(PredictorKind::Bimodal, 1024);
+        };
+        v[0].name = "stall";
+        v[0].budgetBytes = 1024;
+        return v;
     };
-
-    robust::RetryPolicy retry;
-    retry.maxAttempts = 3;
-    // The two slow cells retry on different workers, so the fake
-    // sleeper's count is shared between threads.
-    const auto runCampaign = [&](parallel::CellPool *pool,
-                                 obs::RunReport &report,
-                                 std::atomic<unsigned> &sleeps) {
-        robust::HardenedSuiteRunner runner(
-            "", retry, std::chrono::milliseconds{1}, pool);
-        std::atomic<unsigned> *count = &sleeps;
-        runner.setSleeper(
-            [count](std::chrono::milliseconds) { ++*count; });
-        return runner.run(buildCells(), report);
-    };
+    // The healthy cells finish well inside the 100 ms budget.
+    const robust::CellGuard guard =
+        guardFor("", 2, std::chrono::milliseconds{100});
 
     obs::RunReport serial = freshReport();
-    std::atomic<unsigned> serialSleeps{0};
-    const auto serialSummary =
-        runCampaign(nullptr, serial, serialSleeps);
-    EXPECT_EQ(serialSummary.completed, 6u);
-    EXPECT_EQ(serialSummary.failed, 2u);
-    EXPECT_EQ(serialSummary.retries, 4u); // 2 cells x 2 extra tries
-    // Retries backed off through the fake sleeper, never for real.
-    EXPECT_EQ(serialSleeps.load(), 4u);
-
+    auto serialConfigs = configs();
+    const EnsembleStats serialStats = suiteAccuracyReportEnsemble(
+        suite, serialConfigs, serial, nullptr, nullptr, &guard);
+    EXPECT_EQ(serialStats.completed, suite.size() - 2);
+    EXPECT_EQ(serialStats.failed, 2u);
     ASSERT_EQ(serial.annotations.size(), 2u);
-    EXPECT_EQ(serial.annotations[0].message,
-              "failed after 3 attempt(s): deadline exceeded: wl2");
-    EXPECT_EQ(serial.annotations[1].message,
-              "failed after 3 attempt(s): deadline exceeded: wl6");
+    EXPECT_EQ(serial.annotations[0].key, suite.name(2) + "|stall||1024");
+    EXPECT_EQ(serial.annotations[1].key, suite.name(7) + "|stall||1024");
+    for (const auto &a : serial.annotations)
+        EXPECT_EQ(a.message, "failed after 2 attempt(s): deadline "
+                             "exceeded: accuracy cell");
 
     CellPool pool(4);
     obs::RunReport parallelReport = freshReport();
-    std::atomic<unsigned> parallelSleeps{0};
-    const auto summary =
-        runCampaign(&pool, parallelReport, parallelSleeps);
-    EXPECT_EQ(summary.completed, serialSummary.completed);
-    EXPECT_EQ(summary.failed, serialSummary.failed);
-    EXPECT_EQ(summary.retries, serialSummary.retries);
-    EXPECT_EQ(parallelSleeps.load(), serialSleeps.load());
+    auto parallelConfigs = configs();
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        suite, parallelConfigs, parallelReport, nullptr, &pool, &guard);
+    EXPECT_EQ(stats.completed, serialStats.completed);
+    EXPECT_EQ(stats.failed, serialStats.failed);
     EXPECT_EQ(parallelReport.toJson().dump(2),
               serial.toJson().dump(2));
+    EXPECT_DOUBLE_EQ(parallelConfigs[0].meanPercent,
+                     serialConfigs[0].meanPercent);
 }
 
-TEST(ParallelHardened, ExhaustedCellsLandInManifestWithAttempts)
+TEST(ParallelGuarded, ExhaustedCellsLandInManifestWithAttempts)
 {
     const std::string manifest = std::string(::testing::TempDir()) +
                                  "/parallel_exhaust_manifest.json";
     std::remove(manifest.c_str());
-
-    std::vector<robust::SuiteCell> cells = hardenedCells(4);
-    cells[1].run = [](const robust::Deadline &) -> obs::RunReport::Row {
-        throw std::runtime_error("synthetic failure");
-    };
-
-    robust::RetryPolicy retry;
-    retry.maxAttempts = 2;
+    auto configs = gshareConfigs([](std::size_t cell) {
+        if (cell == 1)
+            throw std::runtime_error("synthetic failure");
+    });
+    const robust::CellGuard guard = guardFor(manifest, 2);
     CellPool pool(4);
     obs::RunReport report = freshReport();
-    robust::HardenedSuiteRunner runner(manifest, retry,
-                                       std::chrono::milliseconds{0},
-                                       &pool);
-    runner.setSleeper([](std::chrono::milliseconds) {});
-    const auto summary = runner.run(cells, report);
-    EXPECT_EQ(summary.failed, 1u);
-    EXPECT_EQ(summary.completed, 3u);
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        smallSuite(), configs, report, nullptr, &pool, &guard);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.completed, 2 * smallSuite().size() - 1);
 
     // The checkpoint file carries the failure verbatim, so a resumed
     // campaign (and bpstat manifest) see attempts and error intact.
     const robust::RunManifest m = robust::RunManifest::load(manifest);
-    const robust::CellRecord *failed = m.find(cells[1].key);
+    const robust::CellRecord *failed =
+        m.find(smallSuite().name(1) + "|gshare||1024");
     ASSERT_NE(failed, nullptr);
     EXPECT_EQ(failed->status, robust::CellRecord::Status::Failed);
     EXPECT_EQ(failed->attempts, 2u);
     EXPECT_EQ(failed->error, "synthetic failure");
+    EXPECT_EQ(m.done(), 2 * smallSuite().size() - 1);
     std::remove(manifest.c_str());
 }
 
-TEST(ParallelHardened, KilledCampaignResumesByteIdentical)
+TEST(ParallelGuarded, KilledCampaignResumesByteIdentical)
 {
     const std::string manifest = std::string(::testing::TempDir()) +
                                  "/parallel_resume_manifest.json";
     std::remove(manifest.c_str());
+    const robust::CellGuard guard = guardFor(manifest);
+    const std::size_t total = 2 * smallSuite().size();
+    const std::size_t killAt = 9;
 
-    obs::RunReport reference = freshReport();
-    robust::HardenedSuiteRunner ref("", robust::RetryPolicy{});
-    ref.run(hardenedCells(6), reference);
-    const std::string referenceBytes = reference.toJson().dump(2);
-
-    // Parallel campaign killed at a cell boundary.
+    // A 4-worker sweep killed at cell 9: the pool commits cells 0-8
+    // in order, then unwinds with the manifest saved.
     {
-        CellPool pool(3);
-        obs::RunReport partial = freshReport();
-        robust::HardenedSuiteRunner runner(
-            manifest, robust::RetryPolicy{},
-            std::chrono::milliseconds{0}, &pool);
-        runner.setAfterCellHook([](std::size_t finalized) {
-            if (finalized == 3)
-                throw std::runtime_error("killed");
+        CellPool pool(4);
+        auto configs = gshareConfigs([killAt](std::size_t cell) {
+            if (cell == killAt)
+                throw Killed{};
         });
-        EXPECT_THROW(runner.run(hardenedCells(6), partial),
-                     std::runtime_error);
+        obs::RunReport partial = freshReport();
+        EXPECT_THROW(suiteAccuracyReportEnsemble(smallSuite(), configs,
+                                                 partial, nullptr,
+                                                 &pool, &guard),
+                     Killed);
     }
+    EXPECT_EQ(robust::RunManifest::load(manifest).done(), killAt);
 
-    // Parallel restart resumes the done cells and completes the rest;
-    // the final report matches the uninterrupted serial run exactly.
-    CellPool pool(3);
+    // A 4-worker restart computes only the remaining cells and
+    // writes the uninterrupted serial report.
+    std::mutex mu;
+    std::vector<std::size_t> computed;
+    auto configs = gshareConfigs([&](std::size_t cell) {
+        std::lock_guard<std::mutex> lock(mu);
+        computed.push_back(cell);
+    });
+    CellPool pool(4);
     obs::RunReport resumed = freshReport();
-    robust::HardenedSuiteRunner runner(manifest, robust::RetryPolicy{},
-                                       std::chrono::milliseconds{0},
-                                       &pool);
-    const auto summary = runner.run(hardenedCells(6), resumed);
-    EXPECT_EQ(summary.resumed, 3u);
-    EXPECT_EQ(summary.completed, 3u);
-    EXPECT_EQ(resumed.toJson().dump(2), referenceBytes);
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        smallSuite(), configs, resumed, nullptr, &pool, &guard);
+    EXPECT_EQ(stats.resumed, killAt);
+    EXPECT_EQ(stats.completed, total - killAt);
+    std::sort(computed.begin(), computed.end());
+    ASSERT_EQ(computed.size(), total - killAt);
+    EXPECT_EQ(computed.front(), killAt);
+    EXPECT_EQ(resumed.toJson().dump(2), referenceBytes());
     std::remove(manifest.c_str());
 }
 

@@ -1,8 +1,10 @@
 /**
  * @file
- * Tests for hardened suite execution (src/robust): retry backoff,
- * deadlines, manifest round-tripping and checkpoint/resume with
- * byte-identical reports.
+ * Tests for hardened suite execution: retry backoff, deadlines,
+ * manifest round-tripping and identity checks, and the guarded suite
+ * sweeps (robust::CellGuard on core/runner.hh) — retries, failure
+ * annotations, deadlines and checkpoint/resume with byte-identical
+ * reports.
  */
 
 #include "robust/run_manifest.hh"
@@ -15,8 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "core/runner.hh"
+#include "guarded_sweep_fixtures.hh"
+#include "robust/cell_guard.hh"
 #include "robust/deadline.hh"
-#include "robust/hardened_runner.hh"
 #include "robust/retry.hh"
 #include "robust/trace_fault.hh"
 
@@ -25,10 +29,8 @@ namespace {
 
 using namespace std::chrono_literals;
 using robust::Deadline;
-using robust::HardenedSuiteRunner;
 using robust::RetryPolicy;
 using robust::RunManifest;
-using robust::SuiteCell;
 
 std::string
 tempPath(const char *name)
@@ -144,13 +146,15 @@ TEST(DeadlineTest, ExpiresAndThrows)
 TEST(RunManifestTest, RoundTripsThroughDisk)
 {
     const std::string path = tempPath("manifest_roundtrip.json");
-    RunManifest m("unit_test");
+    RunManifest m("unit_test", 4000, 7);
     m.markDone("a|gshare||1024", 1, makeRow("a", 100).toJson());
     m.markFailed("b|gshare||1024", 3, "deadline exceeded: cell");
     m.save(path);
 
     const RunManifest loaded = RunManifest::load(path);
     EXPECT_EQ(loaded.experiment(), "unit_test");
+    EXPECT_EQ(loaded.opsPerWorkload(), 4000u);
+    EXPECT_EQ(loaded.seed(), 7u);
     ASSERT_EQ(loaded.cells().size(), 2u);
     EXPECT_TRUE(loaded.isDone("a|gshare||1024"));
     EXPECT_FALSE(loaded.isDone("b|gshare||1024"));
@@ -177,7 +181,7 @@ TEST(RunManifestTest, LoadErrorsAreTyped)
     const std::string path = tempPath("manifest_bad.json");
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fputs("{\"schema_version\": 1, \"cells\": ", f);
+    std::fputs("{\"schema_version\": 2, \"cells\": ", f);
     std::fclose(f);
     EXPECT_THROW(RunManifest::load(path), robust::RunManifestError);
     std::remove(path.c_str());
@@ -186,7 +190,7 @@ TEST(RunManifestTest, LoadErrorsAreTyped)
 TEST(RunManifestTest, SaveIsAtomic)
 {
     const std::string path = tempPath("manifest_atomic.json");
-    RunManifest m("unit_test");
+    RunManifest m("unit_test", 4000, 7);
     m.markDone("a|g||1", 1, makeRow("a", 1).toJson());
     m.save(path);
     // No temp file left behind, and the target parses.
@@ -198,197 +202,277 @@ TEST(RunManifestTest, SaveIsAtomic)
     std::remove(path.c_str());
 }
 
-std::vector<SuiteCell>
-threeGoodCells()
-{
-    std::vector<SuiteCell> cells;
-    for (const char *wl : {"a", "b", "c"}) {
-        obs::RunReport::Row row =
-            makeRow(wl, 100 + wl[0]);
-        cells.push_back({row.key(), [row](const Deadline &) {
-                             return row;
-                         }});
-    }
-    return cells;
-}
+// ---------------------------------------------------------------------
+// Guarded sweeps: the suite sweeps under a robust::CellGuard.
+// ---------------------------------------------------------------------
 
-TEST(HardenedRunner, RunsAllCellsWithoutManifest)
+TEST(GuardedSweep, RunsAllCellsWithoutManifest)
 {
-    HardenedSuiteRunner runner("", RetryPolicy{});
-    obs::RunReport report;
-    const auto summary = runner.run(threeGoodCells(), report);
-    EXPECT_EQ(summary.completed, 3u);
-    EXPECT_EQ(summary.resumed, 0u);
-    EXPECT_EQ(summary.failed, 0u);
-    EXPECT_TRUE(summary.allOk());
-    EXPECT_EQ(report.rows.size(), 3u);
+    const robust::CellGuard guard = guardFor("");
+    obs::RunReport report = freshReport();
+    auto configs = gshareConfigs();
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        smallSuite(), configs, report, nullptr, nullptr, &guard);
+    const std::size_t cells = 2 * smallSuite().size();
+    EXPECT_EQ(stats.completed, cells);
+    EXPECT_EQ(stats.resumed, 0u);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.retries, 0u);
+    // A guarded sweep never batches, and its rows are the
+    // unguarded (batched) sweep's.
+    EXPECT_EQ(stats.groups, 0u);
+    EXPECT_EQ(stats.serialCells, cells);
     EXPECT_TRUE(report.annotations.empty());
+    EXPECT_EQ(report.toJson().dump(2), referenceBytes());
 }
 
-TEST(HardenedRunner, RetriesTransientFailures)
+TEST(GuardedSweep, RetriesTransientFailures)
 {
-    RetryPolicy p;
-    p.maxAttempts = 3;
-    HardenedSuiteRunner runner("", p);
-    FakeSleeper sleeper;
-    runner.setSleeper(sleeper.hook());
-
     int attempts = 0;
-    std::vector<SuiteCell> cells;
-    const obs::RunReport::Row row = makeRow("flaky", 7);
-    cells.push_back({row.key(), [&attempts, row](const Deadline &) {
-                         if (++attempts < 3)
-                             throw std::runtime_error("transient io");
-                         return row;
-                     }});
-
-    obs::RunReport report;
-    const auto summary = runner.run(cells, report);
-    EXPECT_EQ(summary.completed, 1u);
-    EXPECT_EQ(summary.retries, 2u);
-    EXPECT_TRUE(summary.allOk());
-    ASSERT_EQ(report.rows.size(), 1u);
-    EXPECT_EQ(report.rows[0].mispredictions, 7u);
+    auto configs = gshareConfigs([&attempts](std::size_t cell) {
+        if (cell == 5 && ++attempts < 3)
+            throw std::runtime_error("transient io");
+    });
+    const robust::CellGuard guard = guardFor("", 3);
+    obs::RunReport report = freshReport();
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        smallSuite(), configs, report, nullptr, nullptr, &guard);
+    EXPECT_EQ(attempts, 3);
+    EXPECT_EQ(stats.completed, 2 * smallSuite().size());
+    EXPECT_EQ(stats.retries, 2u);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(report.toJson().dump(2), referenceBytes());
 }
 
-TEST(HardenedRunner, AnnotatesPermanentFailures)
+TEST(GuardedSweep, AnnotatesPermanentFailures)
 {
-    RetryPolicy p;
-    p.maxAttempts = 2;
-    HardenedSuiteRunner runner("", p);
-    FakeSleeper sleeper;
-    runner.setSleeper(sleeper.hook());
-
-    auto cells = threeGoodCells();
-    const std::string bad_key = cells[1].key;
-    cells[1].run = [](const Deadline &) -> obs::RunReport::Row {
-        throw std::runtime_error("disk on fire");
-    };
-
-    obs::RunReport report;
-    const auto summary = runner.run(cells, report);
-    EXPECT_EQ(summary.completed, 2u);
-    EXPECT_EQ(summary.failed, 1u);
-    EXPECT_FALSE(summary.allOk());
-    EXPECT_EQ(report.rows.size(), 2u); // partial but usable
+    const std::size_t nw = smallSuite().size();
+    auto configs = gshareConfigs([nw](std::size_t cell) {
+        if (cell == nw + 1)
+            throw std::runtime_error("disk on fire");
+    });
+    const robust::CellGuard guard = guardFor("", 2);
+    obs::RunReport report = freshReport();
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        smallSuite(), configs, report, nullptr, nullptr, &guard);
+    EXPECT_EQ(stats.completed, 2 * nw - 1);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(report.rows.size(), 2 * nw - 1); // partial but usable
+    const std::string badKey = smallSuite().name(1) + "|gshare||2048";
     ASSERT_EQ(report.annotations.size(), 1u);
-    EXPECT_EQ(report.annotations[0].key, bad_key);
-    EXPECT_NE(report.annotations[0].message.find("disk on fire"),
-              std::string::npos);
+    EXPECT_EQ(report.annotations[0].key, badKey);
+    EXPECT_EQ(report.annotations[0].message,
+              "failed after 2 attempt(s): disk on fire");
+    // The failed cell stays out of its config's mean.
+    EXPECT_EQ(configs[1].results[1].branches, 0u);
+    EXPECT_GT(configs[1].meanPercent, 0.0);
 
     // Partial reports survive serialization with their annotations.
-    const auto j = report.toJson();
-    const obs::RunReport back = obs::RunReport::fromJson(j);
+    const obs::RunReport back =
+        obs::RunReport::fromJson(report.toJson());
     ASSERT_EQ(back.annotations.size(), 1u);
-    EXPECT_EQ(back.annotations[0].key, bad_key);
+    EXPECT_EQ(back.annotations[0].key, badKey);
+    EXPECT_EQ(back.annotations[0].message,
+              report.annotations[0].message);
 }
 
-TEST(HardenedRunner, CellTimeoutBecomesAFailureNotAHang)
+TEST(GuardedSweep, CellTimeoutBecomesAFailureNotAHang)
 {
-    RetryPolicy p;
-    p.maxAttempts = 2;
-    HardenedSuiteRunner runner("", p, 1ms);
-    FakeSleeper sleeper;
-    runner.setSleeper(sleeper.hook());
-
-    std::vector<SuiteCell> cells;
-    cells.push_back(
-        {"wedged|x||0", [](const Deadline &deadline) {
-             // A cooperative loop that never finishes on its own.
-             for (;;) {
-                 deadline.check("wedged cell");
-             }
-             return obs::RunReport::Row{};
-         }});
-    obs::RunReport report;
-    const auto summary = runner.run(cells, report);
-    EXPECT_EQ(summary.failed, 1u);
+    // The replay polls its deadline every 65,536 branches: workload
+    // 0 must be long enough to reach a poll.
+    const SuiteTraces suite(400000, 7);
+    ASSERT_GT(suite.trace(0).branchView().size(), 65536u);
+    std::vector<AccuracyCellConfig> configs(1);
+    configs[0].makeForWorkload = [](std::size_t w) {
+        return w == 0 ? std::unique_ptr<DirectionPredictor>(
+                            std::make_unique<StallingPredictor>())
+                      : makePredictor(PredictorKind::Bimodal, 1024);
+    };
+    configs[0].name = "stall";
+    configs[0].budgetBytes = 1024;
+    // The other cells finish well inside the 100 ms budget.
+    const robust::CellGuard guard = guardFor("", 2, 100ms);
+    obs::RunReport report = freshReport();
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        suite, configs, report, nullptr, nullptr, &guard);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.completed, suite.size() - 1);
     ASSERT_EQ(report.annotations.size(), 1u);
-    EXPECT_NE(report.annotations[0].message.find("deadline"),
-              std::string::npos);
+    EXPECT_EQ(report.annotations[0].key, suite.name(0) + "|stall||1024");
+    EXPECT_EQ(report.annotations[0].message,
+              "failed after 2 attempt(s): deadline exceeded: "
+              "accuracy cell");
 }
 
-TEST(HardenedRunner, KilledCampaignResumesByteIdentical)
+TEST(GuardedSweep, InjectedIoFaultsAreRetriedToSuccess)
+{
+    // Fail roughly half the attempts, capped so success is certain.
+    robust::IoFaultInjector io(0.5, 99, 8);
+    auto configs = gshareConfigs([&io](std::size_t) {
+        if (io.shouldFail())
+            throw std::runtime_error("injected io failure");
+    });
+    const robust::CellGuard guard = guardFor("", 5);
+    obs::RunReport report = freshReport();
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        smallSuite(), configs, report, nullptr, nullptr, &guard);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.retries, io.failures());
+    EXPECT_GT(io.failures(), 0u);
+    EXPECT_EQ(report.toJson().dump(2), referenceBytes());
+}
+
+TEST(GuardedSweep, KilledCampaignResumesByteIdentical)
 {
     const std::string manifest = tempPath("resume_manifest.json");
     std::remove(manifest.c_str());
+    const robust::CellGuard guard = guardFor(manifest);
+    const std::size_t total = 2 * smallSuite().size();
+    const std::size_t killAt = 15;
 
-    // Uninterrupted reference run (no manifest).
-    obs::RunReport reference;
-    reference.experiment = "resume_test";
-    HardenedSuiteRunner ref("", RetryPolicy{});
-    ref.run(threeGoodCells(), reference);
-    const std::string reference_bytes = reference.toJson().dump(2);
-
-    // First attempt dies after two cells — as if the process were
-    // killed at a cell boundary. The manifest survives.
+    // The first run dies at cell 15, as if the process were killed
+    // there. Cells 0-14 have committed and the manifest survives.
     {
-        obs::RunReport partial;
-        partial.experiment = "resume_test";
-        HardenedSuiteRunner runner(manifest, RetryPolicy{});
-        runner.setAfterCellHook([](std::size_t finalized) {
-            if (finalized == 2)
-                throw std::runtime_error("killed");
+        auto configs = gshareConfigs([killAt](std::size_t cell) {
+            if (cell == killAt)
+                throw Killed{};
         });
-        EXPECT_THROW(runner.run(threeGoodCells(), partial),
-                     std::runtime_error);
+        obs::RunReport partial = freshReport();
+        EXPECT_THROW(suiteAccuracyReportEnsemble(smallSuite(), configs,
+                                                 partial, nullptr,
+                                                 nullptr, &guard),
+                     Killed);
     }
+    EXPECT_EQ(RunManifest::load(manifest).done(), killAt);
 
-    // Restart with the same manifest: the two done cells replay from
-    // cache, only the third runs, and the report is byte-identical.
-    obs::RunReport resumed;
-    resumed.experiment = "resume_test";
-    HardenedSuiteRunner runner(manifest, RetryPolicy{});
-    std::size_t executed = 0;
-    auto cells = threeGoodCells();
-    for (auto &cell : cells) {
-        const auto inner = cell.run;
-        cell.run = [&executed, inner](const Deadline &d) {
-            ++executed;
-            return inner(d);
-        };
-    }
-    const auto summary = runner.run(cells, resumed);
-    EXPECT_EQ(summary.resumed, 2u);
-    EXPECT_EQ(summary.completed, 1u);
-    EXPECT_EQ(executed, 1u);
-    EXPECT_EQ(resumed.toJson().dump(2), reference_bytes);
+    // The restart computes only the remaining cells and writes the
+    // uninterrupted report.
+    std::vector<std::size_t> computed;
+    auto configs = gshareConfigs(
+        [&computed](std::size_t cell) { computed.push_back(cell); });
+    obs::RunReport resumed = freshReport();
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        smallSuite(), configs, resumed, nullptr, nullptr, &guard);
+    EXPECT_EQ(stats.resumed, killAt);
+    EXPECT_EQ(stats.completed, total - killAt);
+    ASSERT_EQ(computed.size(), total - killAt);
+    EXPECT_EQ(computed.front(), killAt);
+    EXPECT_EQ(resumed.toJson().dump(2), referenceBytes());
 
-    // A third run resumes everything and is still identical.
-    obs::RunReport again;
-    again.experiment = "resume_test";
-    HardenedSuiteRunner runner2(manifest, RetryPolicy{});
-    const auto s2 = runner2.run(threeGoodCells(), again);
-    EXPECT_EQ(s2.resumed, 3u);
-    EXPECT_EQ(s2.completed, 0u);
-    EXPECT_EQ(again.toJson().dump(2), reference_bytes);
+    // A third run resumes everything and is still identical, means
+    // included.
+    auto again = gshareConfigs([](std::size_t) {
+        ADD_FAILURE() << "a fully resumed sweep computed a cell";
+    });
+    obs::RunReport third = freshReport();
+    const EnsembleStats s3 = suiteAccuracyReportEnsemble(
+        smallSuite(), again, third, nullptr, nullptr, &guard);
+    EXPECT_EQ(s3.resumed, total);
+    EXPECT_EQ(s3.completed, 0u);
+    EXPECT_EQ(third.toJson().dump(2), referenceBytes());
+    EXPECT_DOUBLE_EQ(again[1].meanPercent, configs[1].meanPercent);
     std::remove(manifest.c_str());
 }
 
-TEST(HardenedRunner, InjectedIoFaultsAreRetriedToSuccess)
+TEST(GuardedSweep, AccuracyAndTimingShareOneManifest)
 {
-    RetryPolicy p;
-    p.maxAttempts = 5;
-    HardenedSuiteRunner runner("", p);
-    FakeSleeper sleeper;
-    runner.setSleeper(sleeper.hook());
+    const std::string manifest = tempPath("shared_manifest.json");
+    std::remove(manifest.c_str());
+    const robust::CellGuard guard = guardFor(manifest);
+    const auto timingConfigs = [] {
+        return std::vector<TimingCellConfig>{
+            {[] {
+                 return makeFetchPredictor(PredictorKind::Gshare,
+                                           4 * 1024,
+                                           DelayMode::Overriding);
+             },
+             "gshare", delayModeName(DelayMode::Overriding), 4 * 1024,
+             CoreConfig{}}};
+    };
+    const auto campaign = [&](obs::RunReport &report,
+                              std::vector<TimingCellConfig> &tim) {
+        auto acc = gshareConfigs();
+        const EnsembleStats a = suiteAccuracyReportEnsemble(
+            smallSuite(), acc, report, nullptr, nullptr, &guard);
+        const EnsembleStats t = suiteTimingReportEnsemble(
+            smallSuite(), tim, report, nullptr, nullptr, nullptr,
+            &guard);
+        return a.resumed + t.resumed;
+    };
 
-    // Fail roughly half the attempts, capped so success is certain.
-    robust::IoFaultInjector io(0.5, 99, 8);
-    auto cells = threeGoodCells();
-    for (auto &cell : cells) {
-        const auto inner = cell.run;
-        cell.run = [&io, inner](const Deadline &d) {
-            if (io.shouldFail())
-                throw std::runtime_error("injected io failure");
-            return inner(d);
-        };
+    obs::RunReport first = freshReport();
+    auto firstTiming = timingConfigs();
+    EXPECT_EQ(campaign(first, firstTiming), 0u);
+    obs::RunReport second = freshReport();
+    auto secondTiming = timingConfigs();
+    EXPECT_EQ(campaign(second, secondTiming), 3 * smallSuite().size());
+    EXPECT_EQ(second.toJson().dump(2), first.toJson().dump(2));
+    // A resumed timing cell's result is rebuilt from its row.
+    EXPECT_DOUBLE_EQ(secondTiming[0].harmonicMeanIpc,
+                     firstTiming[0].harmonicMeanIpc);
+    EXPECT_EQ(secondTiming[0].results[3].cycles,
+              firstTiming[0].results[3].cycles);
+    std::remove(manifest.c_str());
+}
+
+TEST(GuardedSweep, RefusesAManifestFromAnotherCampaign)
+{
+    const std::string manifest = tempPath("identity_manifest.json");
+    std::remove(manifest.c_str());
+    const robust::CellGuard guard = guardFor(manifest);
+    {
+        auto configs = gshareConfigs();
+        obs::RunReport report = freshReport();
+        suiteAccuracyReportEnsemble(smallSuite(), configs, report,
+                                    nullptr, nullptr, &guard);
     }
-    obs::RunReport report;
-    const auto summary = runner.run(cells, report);
-    EXPECT_EQ(summary.completed, 3u);
-    EXPECT_TRUE(summary.allOk());
-    EXPECT_EQ(report.rows.size(), 3u);
+    const auto rerun = [&](const SuiteTraces &suite,
+                           const char *experiment) {
+        auto configs = gshareConfigs();
+        obs::RunReport report = freshReport(experiment);
+        suiteAccuracyReportEnsemble(suite, configs, report, nullptr,
+                                    nullptr, &guard);
+    };
+    // Another trace length or seed names the same row keys but other
+    // traces: replaying the cached rows would be silently wrong.
+    EXPECT_THROW(rerun(SuiteTraces(5000, 7), "guarded_sweep"),
+                 robust::RunManifestError);
+    EXPECT_THROW(rerun(SuiteTraces(4000, 8), "guarded_sweep"),
+                 robust::RunManifestError);
+    EXPECT_THROW(rerun(smallSuite(), "another_study"),
+                 robust::RunManifestError);
+    EXPECT_NO_THROW(rerun(smallSuite(), "guarded_sweep"));
+    std::remove(manifest.c_str());
+}
+
+TEST(RunManifestTest, OpenChecksIdentityAndSchema)
+{
+    const std::string path = tempPath("manifest_identity.json");
+    RunManifest("study", 4000, 7).save(path);
+    EXPECT_NO_THROW(RunManifest::open(path, "study", 4000, 7));
+    EXPECT_THROW(RunManifest::open(path, "study", 100000, 7),
+                 robust::RunManifestError);
+    EXPECT_THROW(RunManifest::open(path, "study", 4000, 42),
+                 robust::RunManifestError);
+    EXPECT_THROW(RunManifest::open(path, "other", 4000, 7),
+                 robust::RunManifestError);
+
+    // A schema-1 manifest carries no identity: refuse it.
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"schema_version\": 1, \"tool\": \"bpsim-manifest\", "
+               "\"experiment\": \"study\", \"cells\": []}",
+               f);
+    std::fclose(f);
+    EXPECT_THROW(RunManifest::open(path, "study", 4000, 7),
+                 robust::RunManifestError);
+    std::remove(path.c_str());
+
+    // No file: a fresh manifest with this identity.
+    const RunManifest fresh = RunManifest::open(path, "study", 4000, 7);
+    EXPECT_EQ(fresh.opsPerWorkload(), 4000u);
+    EXPECT_TRUE(fresh.cells().empty());
 }
 
 } // namespace

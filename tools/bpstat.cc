@@ -6,6 +6,9 @@
  *   bpstat check    REPORT.json          validate schema + invariants
  *   bpstat --check  REPORT.json          (same; flag spelling)
  *   bpstat diff     OLD.json NEW.json    per-cell deltas
+ *   bpstat diff --exact OLD.json NEW.json
+ *                                        same, and fail unless the
+ *                                        rows are identical
  *   bpstat summary  DIR                  one line per report in DIR
  *                                        (a bpsweep --report-dir)
  *   bpstat manifest MANIFEST.json        summarise a campaign
@@ -23,13 +26,17 @@
  * (workload, predictor, mode, budget) key and prints misprediction,
  * IPC and penalty-attribution deltas — the standing perf-regression
  * workflow: save a report on main, save one on your branch, diff.
+ * `diff --exact` is the row-identity gate: it also fails on any
+ * difference in a matched row's serialized form, a cell present in
+ * only one report, or a key repeated within one.
  *
  * Every failure mode has a distinct exit code so scripts can react
  * without parsing stderr; bad input is always a one-line error,
  * never an unhandled exception:
  *
  *   0  success
- *   1  invariant violation / diff regression / failed manifest cells
+ *   1  invariant violation / diff regression (or, with --exact,
+ *      any row difference) / failed manifest cells
  *   2  usage error (unknown command, wrong arity)
  *   3  file missing or unreadable
  *   4  file unparsable (truncated, not JSON, wrong shape)
@@ -44,6 +51,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -70,7 +78,7 @@ usage()
                  "usage: bpstat show REPORT.json\n"
                  "       bpstat check REPORT.json   (or --check)\n"
                  "              [--monotone-upsets [TOLERANCE_PP]]\n"
-                 "       bpstat diff OLD.json NEW.json\n"
+                 "       bpstat diff [--exact] OLD.json NEW.json\n"
                  "       bpstat summary DIR\n"
                  "       bpstat manifest MANIFEST.json\n"
                  "       bpstat timeline TIMELINE.json\n");
@@ -224,10 +232,12 @@ cmdManifest(const char *path)
     const RunManifest m = RunManifest::load(path);
     const std::size_t done = m.done(), failed = m.failed();
     const std::size_t pending = m.cells().size() - done - failed;
-    std::printf("%s: campaign '%s', %zu cell(s): %zu done, "
-                "%zu failed, %zu pending\n",
-                path, m.experiment().c_str(), m.cells().size(), done,
-                failed, pending);
+    std::printf("%s: campaign '%s' (%llu ops/workload, seed %llu), "
+                "%zu cell(s): %zu done, %zu failed, %zu pending\n",
+                path, m.experiment().c_str(),
+                static_cast<unsigned long long>(m.opsPerWorkload()),
+                static_cast<unsigned long long>(m.seed()),
+                m.cells().size(), done, failed, pending);
     for (const auto &c : m.cells()) {
         if (c.status == CellRecord::Status::Failed)
             std::printf("  FAILED  %s (%u attempts): %s\n",
@@ -552,27 +562,48 @@ penaltyShare(const RunReport::Row &r)
                     : 0.0;
 }
 
+/**
+ * Per-cell deltas between two reports. Exits 1 on a regression
+ * (misprediction +0.05 pp or IPC -0.5%); with @p exact also on any
+ * matched row whose serialized form differs, a key present in only
+ * one report, or a key that repeats within one — a row-identity gate.
+ */
 int
-cmdDiff(const char *old_path, const char *new_path)
+cmdDiff(const char *old_path, const char *new_path, bool exact)
 {
     const RunReport a = load(old_path);
     const RunReport b = load(new_path);
     header(a, old_path);
     header(b, new_path);
 
+    std::size_t duplicates = 0;
     std::map<std::string, const RunReport::Row *> olds;
-    for (const auto &row : a.rows)
-        olds.emplace(row.key(), &row);
+    for (const auto &row : a.rows) {
+        if (!olds.emplace(row.key(), &row).second) {
+            std::printf("%-44s %34s\n", row.key().c_str(),
+                        "(duplicate key in old)");
+            ++duplicates;
+        }
+    }
 
     std::printf("\n%-44s %10s %10s %12s\n", "cell (wl|pred|mode|kB)",
                 "d misp pp", "d IPC %", "d penalty pp");
 
-    std::size_t matched = 0, regressions = 0;
+    std::size_t matched = 0, regressions = 0, unmatched = 0,
+                differing = 0;
+    std::set<std::string> seen;
     for (const auto &nw : b.rows) {
+        if (!seen.insert(nw.key()).second) {
+            std::printf("%-44s %34s\n", nw.key().c_str(),
+                        "(duplicate key in new)");
+            ++duplicates;
+            continue;
+        }
         const auto it = olds.find(nw.key());
         if (it == olds.end()) {
             std::printf("%-44s %34s\n", nw.key().c_str(),
                         "(new cell)");
+            ++unmatched;
             continue;
         }
         const RunReport::Row &od = *it->second;
@@ -585,10 +616,15 @@ cmdDiff(const char *old_path, const char *new_path)
             d_ipc = 100.0 * (nw.ipc() - od.ipc()) / od.ipc();
             const double d_pen =
                 100.0 * (penaltyShare(nw) - penaltyShare(od));
-            std::printf(" %+10.3f %+12.3f\n", d_ipc, d_pen);
+            std::printf(" %+10.3f %+12.3f", d_ipc, d_pen);
         } else {
-            std::printf(" %10s %12s\n", "-", "-");
+            std::printf(" %10s %12s", "-", "-");
         }
+        if (exact && nw.toJson().dump() != od.toJson().dump()) {
+            std::printf("  (row differs)");
+            ++differing;
+        }
+        std::printf("\n");
         if (d_misp > 0.05 || d_ipc < -0.5)
             ++regressions;
         olds.erase(it);
@@ -596,12 +632,19 @@ cmdDiff(const char *old_path, const char *new_path)
     for (const auto &[key, row] : olds) {
         (void)row;
         std::printf("%-44s %34s\n", key.c_str(), "(cell removed)");
+        ++unmatched;
     }
 
+    if (exact)
+        std::printf("\n--exact: %zu row difference(s), %zu unmatched "
+                    "cell(s), %zu duplicate key(s)",
+                    differing, unmatched, duplicates);
     std::printf("\n%zu cell(s) matched, %zu regression(s) "
                 "(misp +0.05pp or IPC -0.5%%)\n",
                 matched, regressions);
-    return regressions ? 1 : 0;
+    if (regressions)
+        return 1;
+    return exact && (differing || unmatched || duplicates) ? 1 : 0;
 }
 
 } // namespace
@@ -634,7 +677,10 @@ main(int argc, char **argv)
         if (cmd == "show" && argc == 3)
             return cmdShow(argv[2]);
         if (cmd == "diff" && argc == 4)
-            return cmdDiff(argv[2], argv[3]);
+            return cmdDiff(argv[2], argv[3], false);
+        if (cmd == "diff" && argc == 5 &&
+            std::strcmp(argv[2], "--exact") == 0)
+            return cmdDiff(argv[3], argv[4], true);
         if (cmd == "summary" && argc == 3)
             return cmdSummary(argv[2]);
         if (cmd == "manifest" && argc == 3)
