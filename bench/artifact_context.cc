@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "trace/shared_trace_pool.hh"
@@ -103,8 +104,14 @@ artifactMain(const ArtifactDef &def, int argc, char **argv)
     const BenchArgs args =
         BenchArgs::parse(argc, argv, def.spec.acceptsManifest,
                          def.spec.extraUsage);
-    StandaloneSweepContext ctx(def.spec, args);
-    return def.fn(def.spec, ctx);
+    try {
+        StandaloneSweepContext ctx(def.spec, args);
+        return def.fn(def.spec, ctx);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s: %s\n", def.spec.name.c_str(),
+                     e.what());
+        return 1;
+    }
 }
 
 void

@@ -210,7 +210,9 @@ class BufferedSweepContext final : public SweepContext
 /**
  * The whole main() of a standalone bench: parse the common flags
  * (exit 2 on usage errors), host the body in a
- * StandaloneSweepContext, return its exit code.
+ * StandaloneSweepContext, return its exit code. An exception out of
+ * the body (a manifest from another campaign, say) prints one
+ * "<artifact>: <what>" line to stderr and returns 1.
  */
 int artifactMain(const ArtifactDef &def, int argc, char **argv);
 

@@ -52,7 +52,7 @@ requireNoExtraArgs(int argc, char **argv,
                  argv[1]);
     std::fprintf(stderr,
                  "usage: %s [--report FILE] [--trace FILE] "
-                 "[--jobs N] [--ensemble 0|1]%s%s\n",
+                 "[--jobs N]%s%s\n",
                  argv[0], extra_usage.empty() ? "" : " ",
                  extra_usage.c_str());
     std::exit(2);
@@ -105,74 +105,23 @@ takeJobsFlag(int &argc, char **argv)
 }
 
 /**
- * `--ensemble 0|1` / `--ensemble=0|1`: the CLI mirror of the
- * BPSIM_ENSEMBLE environment variable (core/ensemble.hh), which
- * switches batched replay of accuracy sweeps on or off; timing
- * sweeps always run serially and ignore it. The flag simply sets
- * the variable for this process, so the accuracy sweep engine —
- * which only consults ensembleEnabled() — needs no plumbing, and the
- * flag wins over an inherited environment value. Anything but a
- * literal "0" or "1" is a usage error (exit 2); a trailing
- * `--ensemble` with no value is left for requireNoExtraArgs. Returns
- * -1 when the flag is absent, else the parsed value.
- */
-inline int
-takeEnsembleFlag(int &argc, char **argv)
-{
-    const auto parse = [&](const char *val) {
-        if (std::strcmp(val, "0") != 0 &&
-            std::strcmp(val, "1") != 0) {
-            std::fprintf(stderr,
-                         "%s: --ensemble needs 0 or 1, got '%s'\n",
-                         argv[0], val);
-            std::fprintf(stderr,
-                         "usage: %s [--report FILE] "
-                         "[--trace FILE] [--jobs N] "
-                         "[--ensemble 0|1]\n",
-                         argv[0]);
-            std::exit(2);
-        }
-        ::setenv("BPSIM_ENSEMBLE", val, 1);
-        return val[0] - '0';
-    };
-    int ensemble = -1;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--ensemble") == 0 &&
-            i + 1 < argc) {
-            ensemble = parse(argv[i + 1]);
-            ++i;
-            continue;
-        }
-        if (std::strncmp(argv[i], "--ensemble=", 11) == 0) {
-            ensemble = parse(argv[i] + 11);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    return ensemble;
-}
-
-/**
  * The common bench command line, parsed once and passed around as a
  * plain value — so bpsweep (and tests) can construct one
  * programmatically without fabricating an argv.
  *
  * parse() is the one shared arg-parsing path for every bench main:
  * it strips --report/--trace (obs::takeFlag), --jobs
- * (takeJobsFlag), --ensemble (takeEnsembleFlag) and, when
- * @p accepts_manifest, the separated `--manifest FILE`
- * form, then rejects anything left over (requireNoExtraArgs: exit 2
- * with the usage line). Flag syntax, precedence (last occurrence
- * wins) and exit codes are exactly the pre-BenchArgs behavior.
+ * (takeJobsFlag) and, when @p accepts_manifest, the separated
+ * `--manifest FILE` form, then rejects anything left over
+ * (requireNoExtraArgs: exit 2 with the usage line). Flag syntax,
+ * precedence (last occurrence wins) and exit codes are exactly the
+ * pre-BenchArgs behavior.
  */
 struct BenchArgs
 {
     std::string report;   ///< --report path, "" when absent
     std::string trace;    ///< --trace path, "" when absent
     unsigned jobs = 0;    ///< --jobs value, 0 = env/hardware
-    int ensemble = -1;    ///< --ensemble value, -1 = env default
     std::string manifest; ///< --manifest path, "" when absent
 
     static BenchArgs
@@ -183,7 +132,6 @@ struct BenchArgs
         args.report = obs::takeFlag(argc, argv, "--report");
         args.trace = obs::takeFlag(argc, argv, "--trace");
         args.jobs = takeJobsFlag(argc, argv);
-        args.ensemble = takeEnsembleFlag(argc, argv);
         if (accepts_manifest) {
             // Separated form only, as study_soft_error always
             // accepted it.

@@ -103,14 +103,6 @@ class PackedPhtStorage
     /** SRAM bits this table charges the hardware budget. */
     std::size_t storageBits() const { return entries_ * 2; }
 
-    /** Hint the cache to pull counter @p i's byte (batch kernels
-     *  prefetch the next branch's rows while this one trains). */
-    void
-    prefetch(std::size_t i) const
-    {
-        __builtin_prefetch(&bytes_[i >> 2]);
-    }
-
   private:
     std::size_t entries_;
     std::vector<std::uint8_t> bytes_;
@@ -207,13 +199,6 @@ class PackedSatStorage
     }
 
     std::size_t storageBits() const { return entries_ * bits_; }
-
-    /** Hint the cache to pull counter @p i's word. */
-    void
-    prefetch(std::size_t i) const
-    {
-        __builtin_prefetch(&words_[(i * bits_) >> 6]);
-    }
 
   private:
     std::size_t entries_;

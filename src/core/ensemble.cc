@@ -1,69 +1,49 @@
 #include "core/ensemble.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <typeinfo>
 
 #include "common/bitutil.hh"
 #include "common/vec_kernels.hh"
-#include "core/dispatch.hh"
-#include "predictors/multicomponent.hh"
 #include "predictors/perceptron.hh"
 
 namespace bpsim {
 
 namespace {
 
-/**
- * The generic batched loop, blocked member-major: each member
- * replays a block of branches before the next member starts on it.
- * Members are fully independent (each step reads and writes only
- * that member's state plus the read-only trace), so any interleaving
- * produces bit-identical counters and final state; this one is
- * chosen for cache behaviour. Branch-major order cycles the
- * *combined* table working set of the whole group through the cache
- * on every branch — for a nine-budget family that sum exceeds L2
- * and every PHT probe pays an LLC round trip. Member-major over a
- * block keeps one member's tables resident while the block's slice
- * of the trace columns stays hot in L1. Instantiated per concrete
- * (final) predictor type so the member step inlines.
- */
-template <typename Pred>
-std::vector<AccuracyResult>
-genericEnsembleLoop(const std::vector<Pred *> &members,
-                    const BranchSpan &view)
+constexpr std::align_val_t kLineAlign{64};
+
+struct AlignedFree
 {
-    // 16K branches: the trace slice is 16K * 9 bytes, well inside
-    // L1+L2, and long enough that switching members' table sets is
-    // amortized over the block.
-    constexpr std::size_t kBlock = 16384;
-    const std::size_t width = members.size();
-    const std::size_t n = view.size();
-    const Addr *pcs = view.pcData();
-    const std::uint8_t *takens = view.takenData();
-    std::vector<Counter> misp(width, 0);
-    for (std::size_t base = 0; base < n; base += kBlock) {
-        const std::size_t end = std::min(n, base + kBlock);
-        for (std::size_t j = 0; j < width; ++j) {
-            Pred *const p = members[j];
-            Counter m = 0;
-            for (std::size_t i = base; i < end; ++i) {
-                const bool taken = takens[i] != 0;
-                const bool predicted = p->predict(pcs[i]);
-                p->update(pcs[i], taken);
-                m += predicted != taken ? 1 : 0;
-            }
-            misp[j] += m;
-        }
+    void
+    operator()(std::int16_t *p) const
+    {
+        ::operator delete(p, kLineAlign);
     }
-    std::vector<AccuracyResult> results(width);
-    for (std::size_t j = 0; j < width; ++j) {
-        results[j].branches = static_cast<Counter>(n);
-        results[j].mispredictions = misp[j];
-    }
-    return results;
+};
+
+/**
+ * A cache-line-aligned buffer of @p n copies of @p fill. The
+ * perceptron kernel's input windows feed its wide dot products;
+ * where the heap happened to place them moved the kernel's cost per
+ * member-branch by about 40% in one build, so they start on a line
+ * boundary.
+ */
+std::unique_ptr<std::int16_t[], AlignedFree>
+alignedI16(std::size_t n, std::int16_t fill)
+{
+    std::unique_ptr<std::int16_t[], AlignedFree> p(
+        static_cast<std::int16_t *>(::operator new(
+            std::max<std::size_t>(n, 1) * sizeof(std::int16_t),
+            kLineAlign)));
+    std::fill_n(p.get(), n, fill);
+    return p;
 }
 
 } // namespace
@@ -87,11 +67,11 @@ genericEnsembleLoop(const std::vector<Pred *> &members,
  * is never read before being overwritten and is not exposed by
  * visitState/describeStats.)
  *
- * Preconditions, checked by tryRun (falls back to the generic loop
- * when violated): every member fresh (all-zero histories, so the
- * shared state can start from zero), and every member that has a
- * local component sharing the same local geometry (members without
- * one — the small budgets — just skip the local term).
+ * Preconditions, checked by tryRun (the caller replays the members
+ * serially when they fail): every member fresh (all-zero histories,
+ * so the shared state can start from zero), and every member that
+ * has a local component sharing the same local geometry (members
+ * without one — the small budgets — just skip the local term).
  */
 struct PerceptronBatch
 {
@@ -145,9 +125,9 @@ struct PerceptronBatch
         // buffer's front is it relocated — an amortized two bytes
         // per branch instead of shifting all maxGb entries each
         // time.
-        std::vector<std::int16_t> xbuf(2 * std::size_t{maxGb}, -1);
+        const auto xbuf = alignedI16(2 * std::size_t{maxGb}, -1);
         std::size_t xpos = maxGb;
-        std::vector<std::int16_t> lx(lb, 0);
+        const auto lx = alignedI16(lb, 0);
         std::vector<std::uint64_t> lh(lb > 0 ? localMask + 1 : 0, 0);
 
         // Per-member hot fields, unpacked once.
@@ -230,7 +210,7 @@ struct PerceptronBatch
                     : 0;
             const bool haveNext = i + 1 < n;
             const bool taken = takens[i] != 0;
-            const std::int16_t *xw = xbuf.data() + xpos;
+            const std::int16_t *xw = xbuf.get() + xpos;
             std::uint64_t lhv = 0;
             std::size_t li = 0;
             if (lb > 0) {
@@ -249,7 +229,7 @@ struct PerceptronBatch
                           dotSignedI16Wide(row + 1, xw, m.gb);
                 if (m.lb > 0)
                     dot += dotSignedI16Wide(row + 1 + m.gb,
-                                            lx.data(), m.lb);
+                                            lx.get(), m.lb);
                 const bool predicted = dot >= 0;
                 m.misp += predicted != taken ? 1 : 0;
                 const int magnitude = dot >= 0 ? dot : -dot;
@@ -264,7 +244,7 @@ struct PerceptronBatch
                     trainSignedI16Wide(row + 1, xw, m.gb, dir,
                                        m.wmin, m.wmax);
                     if (m.lb > 0)
-                        trainSignedI16Wide(row + 1 + m.gb, lx.data(),
+                        trainSignedI16Wide(row + 1 + m.gb, lx.get(),
                                            m.lb, dir, m.wmin,
                                            m.wmax);
                 }
@@ -274,7 +254,7 @@ struct PerceptronBatch
             // member's update() would have.
             if (maxGb > 0) {
                 if (xpos == 0) {
-                    std::memcpy(xbuf.data() + maxGb, xbuf.data(),
+                    std::memcpy(xbuf.get() + maxGb, xbuf.get(),
                                 maxGb * sizeof(std::int16_t));
                     xpos = maxGb;
                 }
@@ -302,91 +282,18 @@ struct PerceptronBatch
     }
 };
 
-/**
- * Specialized multi-component group kernel (friend of
- * MultiComponentPredictor and its typed components).
- *
- * MC's per-branch cost is dominated by scattered table probes — the
- * selector row plus one PHT row per component, five-plus dependent
- * cache accesses whose addresses the hardware prefetcher cannot
- * guess. Unlike the perceptron there is no shared input vector to
- * amortize, but the *next* branch's indices are fully computable the
- * moment this branch's updates land (updates use the actual trace
- * outcome, so every component's history after branch i is exactly
- * its state when branch i+1 is predicted). The kernel exploits that:
- * the member-major block loop calls the same inline predict/update
- * pair the generic loop would, then issues one software prefetch per
- * table for branch i+1 — selector row, bimodal row, local history
- * word, every global component's PHT row — overlapping the miss
- * latency with the current branch's selection scan. Prefetches are
- * side-effect-free, so counters and final state stay bit-identical
- * to the serial run (golden-tested in tests/test_ensemble.cc).
- */
-struct MulticomponentBatch
-{
-    static std::vector<AccuracyResult>
-    run(const std::vector<MultiComponentPredictor *> &members,
-        const BranchSpan &view)
-    {
-        constexpr std::size_t kBlock = 16384;
-        const std::size_t width = members.size();
-        const std::size_t n = view.size();
-        const Addr *pcs = view.pcData();
-        const std::uint8_t *takens = view.takenData();
-        std::vector<Counter> misp(width, 0);
-        for (std::size_t base = 0; base < n; base += kBlock) {
-            const std::size_t end = std::min(n, base + kBlock);
-            for (std::size_t j = 0; j < width; ++j) {
-                MultiComponentPredictor *const p = members[j];
-                Counter m = 0;
-                for (std::size_t i = base; i < end; ++i) {
-                    const bool taken = takens[i] != 0;
-                    const bool predicted = p->predict(pcs[i]);
-                    p->update(pcs[i], taken);
-                    m += predicted != taken ? 1 : 0;
-                    if (i + 1 < end)
-                        prefetchNext(*p, pcs[i + 1]);
-                }
-                misp[j] += m;
-            }
-        }
-        std::vector<AccuracyResult> results(width);
-        for (std::size_t j = 0; j < width; ++j) {
-            results[j].branches = static_cast<Counter>(n);
-            results[j].mispredictions = misp[j];
-        }
-        return results;
-    }
-
-  private:
-    static void
-    prefetchNext(MultiComponentPredictor &p, Addr pc)
-    {
-        // Valid post-update: every component's index function reads
-        // state already advanced past the current branch.
-        __builtin_prefetch(&p.selector_[p.selectorIndex(pc)]);
-        p.bimodal_.pht_.prefetch(p.bimodal_.index(pc));
-        if (p.local_) {
-            LocalPredictor &l = *p.local_;
-            __builtin_prefetch(&l.histories_[l.historyIndex(pc)]);
-        }
-        for (GsharePredictor &g : p.globals_)
-            g.pht_.prefetch(g.index(pc));
-    }
-};
-
 bool
 ensembleBatchable(const std::vector<DirectionPredictor *> &members)
 {
-    if (members.size() < 2 || members[0] == nullptr)
+    // Only bare perceptrons: their shared-input kernel is the one
+    // batched loop that beats serial replay. Wrapped members, other
+    // kinds and unknown user predictors replay serially.
+    if (members.size() < 2)
         return false;
-    // One known concrete type for every member: wrapped members and
-    // unknown user predictors fail here and stay on the serial path.
-    const std::type_info &t = typeid(*members[0]);
     for (DirectionPredictor *p : members)
-        if (p == nullptr || typeid(*p) != t)
+        if (p == nullptr || typeid(*p) != typeid(PerceptronPredictor))
             return false;
-    return withConcretePredictor(*members[0], [](auto &) {});
+    return true;
 }
 
 std::vector<AccuracyResult>
@@ -397,41 +304,18 @@ runAccuracyEnsemble(const std::vector<DirectionPredictor *> &members,
         if (p == nullptr)
             throw std::invalid_argument(
                 "runAccuracyEnsemble: null member");
-    if (members.empty())
-        return {};
-    const BranchSpan view = trace.branchView();
-    // The monomorphizing cast below requires one known concrete type;
-    // re-verify instead of trusting the caller (a mixed group would
-    // be undefined behaviour, not just slow). Anything else — mixed
-    // types, wrapped or unknown predictors — falls back to the
-    // virtual loop, which is always correct.
-    const std::type_info &t0 = typeid(*members[0]);
-    for (DirectionPredictor *p : members)
-        if (typeid(*p) != t0)
-            return genericEnsembleLoop(members, view);
+    if (ensembleBatchable(members)) {
+        std::vector<PerceptronPredictor *> typed;
+        typed.reserve(members.size());
+        for (DirectionPredictor *p : members)
+            typed.push_back(static_cast<PerceptronPredictor *>(p));
+        if (auto r = PerceptronBatch::tryRun(typed, trace.branchView()))
+            return std::move(*r);
+    }
     std::vector<AccuracyResult> results;
-    const bool matched =
-        withConcretePredictor(*members[0], [&](auto &first) {
-            using P = std::decay_t<decltype(first)>;
-            std::vector<P *> typed;
-            typed.reserve(members.size());
-            for (DirectionPredictor *p : members)
-                typed.push_back(static_cast<P *>(p));
-            if constexpr (std::is_same_v<P, PerceptronPredictor>) {
-                if (auto r = PerceptronBatch::tryRun(typed, view)) {
-                    results = std::move(*r);
-                    return;
-                }
-            }
-            if constexpr (std::is_same_v<P,
-                                         MultiComponentPredictor>) {
-                results = MulticomponentBatch::run(typed, view);
-                return;
-            }
-            results = genericEnsembleLoop(typed, view);
-        });
-    if (!matched)
-        results = genericEnsembleLoop(members, view);
+    results.reserve(members.size());
+    for (DirectionPredictor *p : members)
+        results.push_back(runAccuracy(*p, trace));
     return results;
 }
 

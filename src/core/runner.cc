@@ -22,32 +22,55 @@ namespace {
 
 /**
  * The one accuracy replay loop, shared by the poll and non-poll
- * entry points so they cannot diverge. Iterates the trace's dense
- * conditional-branch view instead of skipping non-branch micro-ops.
+ * entry points so they cannot diverge. Walks the trace's dense
+ * conditional-branch columns and calls @p poll after every full
+ * chunk of @p poll_interval branches.
  *
  * Templated over the predictor's *static* type: instantiated once
- * per concrete (final) predictor class via withConcretePredictor so
- * predict/update inline, and once at Pred=DirectionPredictor as the
- * virtual fallback for unknown types.
+ * per concrete (final) predictor class via withConcretePredictor,
+ * and once at Pred=DirectionPredictor as the virtual fallback for
+ * unknown types. Each instantiation is its own function
+ * (noinline), and flatten inlines predict/update and their helpers
+ * into it: left to itself, GCC expanded every instantiation inside
+ * runAccuracyDispatch and gave up inlining there, so the "fast"
+ * path called the predictor out of line per branch. The loops are
+ * 64-byte aligned in the source, not by a per-file flag, so that
+ * every build of src/ (the repo benchmark compiles it with its own
+ * CMakeLists) lays them out alike: unaligned, fig1's sweep time
+ * moved about 8% with the placement of this code alone.
  */
 template <typename Pred, typename Poll>
-AccuracyResult
+[[gnu::noinline, gnu::flatten,
+  gnu::optimize("align-functions=64", "align-loops=64")]] AccuracyResult
 runAccuracyLoop(Pred &pred, const TraceBuffer &trace, Poll &&poll,
                 Counter poll_interval)
 {
-    AccuracyResult r;
-    Counter untilPoll = poll_interval;
-    for (const BranchRecord &b : trace.branchView()) {
-        const bool predicted = pred.predict(b.pc);
-        pred.update(b.pc, b.taken);
-        ++r.branches;
-        if (predicted != b.taken)
-            ++r.mispredictions;
-        if (--untilPoll == 0) {
-            poll();
-            untilPoll = poll_interval;
+    const BranchSpan view = trace.branchView();
+    const std::size_t n = view.size();
+    const Addr *pcs = view.pcData();
+    const std::uint8_t *takens = view.takenData();
+    // An interval of 0 never polls, as a countdown from 0 would not.
+    const Counter chunk = poll_interval > 0
+                              ? poll_interval
+                              : std::numeric_limits<Counter>::max();
+    Counter misp = 0;
+    for (std::size_t base = 0; base < n;) {
+        const std::size_t end =
+            n - base > chunk ? base + static_cast<std::size_t>(chunk)
+                             : n;
+        for (std::size_t i = base; i < end; ++i) {
+            const bool taken = takens[i] != 0;
+            const bool predicted = pred.predict(pcs[i]);
+            pred.update(pcs[i], taken);
+            misp += predicted != taken ? 1 : 0;
         }
+        if (end - base == chunk)
+            poll();
+        base = end;
     }
+    AccuracyResult r;
+    r.branches = static_cast<Counter>(n);
+    r.mispredictions = misp;
     return r;
 }
 
@@ -236,12 +259,12 @@ SuiteTraces::describe(obs::RunReport &report) const
 namespace {
 
 /** Publish describeStats() gauges, tagging names with the workload. */
-template <typename Pred>
 void
-publishPredictorStats(obs::MetricRegistry &reg, const Pred &pred,
+publishPredictorStats(obs::MetricRegistry &reg,
+                      const std::vector<PredictorStat> &stats,
                       const std::string &workload)
 {
-    for (const PredictorStat &s : pred.describeStats()) {
+    for (const PredictorStat &s : stats) {
         // Splice the workload label into an existing {label} suffix
         // or append a fresh one.
         std::string name = s.name;
@@ -446,43 +469,33 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
 
     // Group configs by concrete predictor type using one probe
     // instance per config (construction is cheap next to replay; the
-    // probes never see a branch). A group batches when its members
-    // share one type the monomorphic dispatcher knows, it is at least
-    // two wide, and the escape hatch is off. Wrapped members
-    // (fault-injecting, protected) and unknown user types fail that
-    // probe; they, lone configs and every config when BPSIM_ENSEMBLE=0
-    // or a guard is passed run one (config, workload) cell at a time
+    // probes never see a branch). Configs of a type that
+    // ensembleBatchable accepts (bare perceptrons) form one group,
+    // placed where the first of them appears; every other config,
+    // and every config when BPSIM_ENSEMBLE=0 or a guard is passed,
+    // is a lone group that runs one (config, workload) cell at a time
     // through runAccuracy(). A guarded sweep thus never lets one
     // failure span several cells, and its compute cells are exactly
     // its config-major rows.
     std::vector<std::vector<std::size_t>> groups;
     std::vector<std::size_t> groupOf(nc);
     {
-        std::map<std::type_index, std::size_t> byType;
-        std::vector<std::vector<std::size_t>> candidates;
+        std::map<std::type_index, std::size_t> batchOf;
         const bool batching = ensembleEnabled() && !guard;
         for (std::size_t c = 0; c < nc; ++c) {
-            if (!batching) {
-                groups.push_back({c});
-                continue;
+            std::size_t g = groups.size();
+            if (batching) {
+                const auto probe = makePred(c, 0);
+                // A type batches when two of it would.
+                if (ensembleBatchable({probe.get(), probe.get()}))
+                    g = batchOf.emplace(typeid(*probe), g)
+                            .first->second;
             }
-            const auto probe = makePred(c, 0);
-            if (!withConcretePredictor(*probe, [](auto &) {})) {
-                groups.push_back({c});
-                continue;
-            }
-            const auto [it, fresh] =
-                byType.emplace(typeid(*probe), candidates.size());
-            if (fresh)
-                candidates.push_back({c});
-            else
-                candidates[it->second].push_back(c);
+            if (g == groups.size())
+                groups.emplace_back();
+            groups[g].push_back(c);
+            groupOf[c] = g;
         }
-        for (auto &g : candidates)
-            groups.push_back(std::move(g));
-        for (std::size_t g = 0; g < groups.size(); ++g)
-            for (std::size_t c : groups[g])
-                groupOf[c] = g;
     }
 
     EnsembleStats stats;
@@ -506,40 +519,44 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
 
     // Compute phase: one cell per (group, workload), fanned out on
     // the pool when one is passed. Each cell builds its own member
-    // predictors, so cells stay independent; predictors are kept
-    // until their row commits and publishes their describeStats().
-    std::vector<std::vector<std::unique_ptr<DirectionPredictor>>>
-        preds(nc);
-    for (auto &row : preds)
-        row.resize(nw);
+    // predictors, so cells stay independent, and frees them when it
+    // ends; with metrics on, it first snapshots their describeStats()
+    // for the commit to publish.
+    std::vector<std::vector<PredictorStat>> predStats(
+        metrics ? nc * nw : 0);
     for (auto &cfg : configs)
         cfg.results.assign(nw, AccuracyResult{});
     const auto compute = [&](std::size_t cell) {
         const std::vector<std::size_t> &g = groups[cell / nw];
         const std::size_t w = cell % nw;
         ledger.compute(cell, [&](const robust::Deadline &deadline) {
+            std::vector<std::unique_ptr<DirectionPredictor>> owned;
             std::vector<DirectionPredictor *> members;
+            owned.reserve(g.size());
             members.reserve(g.size());
             for (std::size_t c : g) {
-                preds[c][w] = makePred(c, w);
-                members.push_back(preds[c][w].get());
+                owned.push_back(makePred(c, w));
+                members.push_back(owned.back().get());
             }
-            if (g.size() >= 2 && ensembleBatchable(members)) {
+            if (g.size() >= 2) {
                 const auto results =
                     runAccuracyEnsemble(members, suite.trace(w));
                 for (std::size_t k = 0; k < g.size(); ++k)
                     configs[g[k]].results[w] = results[k];
             } else {
-                const auto poll = [&] {
-                    deadline.check("accuracy cell");
-                };
-                for (std::size_t k = 0; k < g.size(); ++k)
-                    configs[g[k]].results[w] =
-                        deadline.unlimitedBudget()
-                            ? runAccuracy(*members[k], suite.trace(w))
-                            : runAccuracy(*members[k], suite.trace(w),
-                                          poll);
+                configs[g[0]].results[w] =
+                    deadline.unlimitedBudget()
+                        ? runAccuracy(*members[0], suite.trace(w))
+                        : runAccuracy(*members[0], suite.trace(w),
+                                      [&] {
+                                          deadline.check(
+                                              "accuracy cell");
+                                      });
             }
+            if (metrics)
+                for (std::size_t k = 0; k < g.size(); ++k)
+                    predStats[g[k] * nw + w] =
+                        owned[k]->describeStats();
         });
     };
 
@@ -558,9 +575,9 @@ suiteAccuracyReportEnsemble(const SuiteTraces &suite,
             const obs::RunReport::Row &row = report.rows.back();
             cfg.results[w] = {row.branches, row.mispredictions};
         } else if (fate == CellFate::Computed && metrics) {
-            publishPredictorStats(*metrics, *preds[c][w], suite.name(w));
+            publishPredictorStats(*metrics, predStats[i], suite.name(w));
+            predStats[i] = {};
         }
-        preds[c][w].reset();
         if (w + 1 == nw) {
             std::vector<double> percents;
             percents.reserve(nw);
@@ -651,7 +668,8 @@ suiteTimingReportEnsemble(const SuiteTraces &suite,
                 c.results[w] = simResultFromRow(report.rows.back());
             } else if (fate == CellFate::Computed && metrics) {
                 c.results[w].publishMetrics(*metrics, suite.name(w));
-                publishPredictorStats(*metrics, *preds[cell],
+                publishPredictorStats(*metrics,
+                                      preds[cell]->describeStats(),
                                       suite.name(w));
             }
             preds[cell].reset();

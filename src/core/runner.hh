@@ -196,7 +196,7 @@ class SuiteTraces
  * its per-workload outputs. The accuracy drivers (fig1/fig5/fig6,
  * the studies and ablations) build one of these per configuration,
  * in row order, and hand the whole list to
- * suiteAccuracyReportEnsemble, which batches bare same-type configs
+ * suiteAccuracyReportEnsemble, which batches bare perceptron configs
  * and replays every other config one cell at a time.
  */
 struct AccuracyCellConfig
@@ -245,10 +245,10 @@ struct AccuracyCellConfig
 struct EnsembleStats
 {
     /** Accuracy (config x workload) cells replayed inside a batched
-     *  group of bare same-type members. */
+     *  group of bare perceptrons. */
     std::size_t batchedCells = 0;
-    /** Cells replayed one at a time: lone, wrapped or unknown-type
-     *  accuracy configs, and every timing cell. */
+    /** Cells replayed one at a time: every accuracy config that is
+     *  not a bare perceptron with a sibling, and every timing cell. */
     std::size_t serialCells = 0;
     /** Batched accuracy groups formed. */
     std::size_t groups = 0;
@@ -267,26 +267,29 @@ struct EnsembleStats
 
 /**
  * Run every configuration in @p configs over @p suite, batching
- * same-type groups through the ensemble engine (core/ensemble.hh)
- * so each group streams every trace once instead of once per config.
+ * perceptron budgets through the ensemble engine
+ * (core/ensemble.hh), which builds their shared input vector once
+ * per branch instead of once per config.
  *
  * Each config's cells build a fresh predictor per workload
  * (@c makeForWorkload when set, else @c make). Configs group by the
- * concrete type of their workload-0 instance: two or more bare
- * configs of one type the monomorphic dispatcher knows batch
- * together. Lone configs, configs wrapped in the robustness
- * decorators (FaultInjectingPredictor, ProtectedPredictor), unknown
- * user types, and every config when BPSIM_ENSEMBLE=0 or @p guard is
- * set run one (config, workload) cell at a time through
- * runAccuracy(); a guarded cell polls its deadline every 65,536
- * branches.
+ * concrete type of their workload-0 instance when ensembleBatchable
+ * accepts that type: two or more bare perceptron configs batch
+ * together. Every other config (other kinds, configs wrapped in the
+ * robustness decorators FaultInjectingPredictor and
+ * ProtectedPredictor, unknown user types), and every config when
+ * BPSIM_ENSEMBLE=0 or @p guard is set, runs one (config, workload)
+ * cell at a time through runAccuracy(); a guarded cell polls its
+ * deadline every 65,536 branches. A cell frees its predictors when
+ * it has run, after snapshotting their describeStats() when
+ * @p metrics is non-null.
  *
  * Equivalence contract: the appended report rows, the published
  * metrics (bar the extra core.ensemble.* gauges) and each config's
  * results/meanPercent are byte-identical to running the configs one
  * after another through runAccuracy(), workload by workload, at any
- * pool size — rows are emitted config-major, workload-minor after
- * all cells compute. Each config's predictors publish their
+ * pool size — rows are emitted config-major, workload-minor, each
+ * once its cell has computed. Each config's predictors publish their
  * describeStats() gauges into @p metrics (when non-null) under
  * `{workload=...}` labels, with the suite's trace-cache gauges
  * stamped once. With @p guard, see the file comment; the manifest

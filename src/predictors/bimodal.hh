@@ -43,10 +43,6 @@ class BimodalPredictor final : public DirectionPredictor
 
     PackedPhtStorage pht_;
     std::size_t mask_;
-
-    /** Batched MC replay prefetches next-branch PHT rows
-     *  (core/ensemble.cc); needs index() and pht_. */
-    friend struct MulticomponentBatch;
 };
 
 } // namespace bpsim

@@ -81,10 +81,6 @@ class GsharePredictor final : public DirectionPredictor
 
     // predict() -> update() carried state
     std::size_t lastIndex_ = 0;
-
-    /** Batched MC replay prefetches next-branch PHT rows
-     *  (core/ensemble.cc); needs index() and pht_. */
-    friend struct MulticomponentBatch;
 };
 
 } // namespace bpsim

@@ -97,10 +97,6 @@ class LocalPredictor final : public DirectionPredictor
     // predict() -> update() carried state
     std::size_t lastHistIndex_ = 0;
     std::size_t lastPhtIndex_ = 0;
-
-    /** Batched MC replay prefetches next-branch history words
-     *  (core/ensemble.cc); needs historyIndex() and histories_. */
-    friend struct MulticomponentBatch;
 };
 
 } // namespace bpsim

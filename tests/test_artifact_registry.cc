@@ -399,5 +399,25 @@ TEST(ArtifactRegistry, StandaloneTraceWithJobsWarnsSerialFallback)
     std::remove(tracePath.c_str());
 }
 
+int
+throwingBody(const ArtifactSpec &, SweepContext &)
+{
+    throw std::runtime_error("manifest belongs to another campaign");
+}
+
+TEST(ArtifactRegistry, ArtifactMainReportsAnExceptionAndReturnsOne)
+{
+    const ArtifactDef def{probeSpec("throw_probe", "throwing artifact"),
+                          &throwingBody};
+    char arg0[] = "throw_probe";
+    char *argv[] = {arg0, nullptr};
+    testing::internal::CaptureStderr();
+    const int code = artifactMain(def, 1, argv);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 1);
+    EXPECT_EQ(err,
+              "throw_probe: manifest belongs to another campaign\n");
+}
+
 } // namespace
 } // namespace bpsim

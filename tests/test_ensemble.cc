@@ -2,19 +2,23 @@
  * @file
  * Golden equivalence of the batched ensemble replay engine against
  * the serial path: for every factory predictor kind, a group of one
- * member per standard budget replayed in one pass must produce
- * byte-identical counts, describeStats() gauges and visitState()
- * dumps to running each member alone. Also pins the grouping rules
- * (only bare members of one known concrete type batch; wrapped
- * members, mixed types and unknown user subclasses refuse and replay
- * through the virtual loop), the BPSIM_ENSEMBLE=0 escape hatch, and
- * suiteAccuracyReportEnsemble's contract that its RunReport is
- * byte-identical to the serial oracle in sweep_oracle.hh. Timing
- * sweeps never batch; their cases live in test_runner.cc.
+ * member per standard budget handed to runAccuracyEnsemble must
+ * produce byte-identical counts, describeStats() gauges and
+ * visitState() dumps to running each member alone (the perceptron
+ * through its shared-input kernel, every other kind member by
+ * member). Also pins the grouping rule (only bare perceptrons batch;
+ * other kinds, wrapped members, mixed types and unknown user
+ * subclasses refuse and replay serially), the BPSIM_ENSEMBLE=0
+ * escape hatch, suiteAccuracyReportEnsemble's contract that its
+ * RunReport is byte-identical to the serial oracle in
+ * sweep_oracle.hh, and that a sweep frees each cell's predictors
+ * when the cell ends. Timing sweeps never batch; their cases live in
+ * test_runner.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -114,7 +118,8 @@ TEST(EnsembleReplay, BatchedMatchesSerialEverywhere)
             serial.push_back(makePredictor(kind, budget));
             members.push_back(batched.back().get());
         }
-        ASSERT_TRUE(ensembleBatchable(members));
+        ASSERT_EQ(ensembleBatchable(members),
+                  kind == PredictorKind::Perceptron);
 
         const std::vector<AccuracyResult> rb =
             runAccuracyEnsemble(members, trace);
@@ -142,38 +147,54 @@ struct UnknownDirectionPredictor final : DirectionPredictor
 
 TEST(EnsembleReplay, ProbeRejectsWrappedMixedAndLoneGroups)
 {
-    auto g0 = makePredictor(PredictorKind::Gshare, 4 * 1024);
-    auto g1 = makePredictor(PredictorKind::Gshare, 16 * 1024);
+    auto c0 = makePredictor(PredictorKind::Perceptron, 4 * 1024);
+    auto c1 = makePredictor(PredictorKind::Perceptron, 16 * 1024);
     auto b0 = makePredictor(PredictorKind::Bimodal, 4 * 1024);
 
-    // A genuine same-type pair batches...
-    EXPECT_TRUE(ensembleBatchable({g0.get(), g1.get()}));
+    // A perceptron pair batches...
+    EXPECT_TRUE(ensembleBatchable({c0.get(), c1.get()}));
     // ...but a lone config, mixed kinds, or a null member do not.
-    EXPECT_FALSE(ensembleBatchable({g0.get()}));
+    EXPECT_FALSE(ensembleBatchable({c0.get()}));
     EXPECT_FALSE(ensembleBatchable({}));
-    EXPECT_FALSE(ensembleBatchable({g0.get(), b0.get()}));
-    EXPECT_FALSE(ensembleBatchable({g0.get(), nullptr}));
-    EXPECT_FALSE(ensembleBatchable({nullptr, g0.get()}));
+    EXPECT_FALSE(ensembleBatchable({c0.get(), b0.get()}));
+    EXPECT_FALSE(ensembleBatchable({c0.get(), nullptr}));
+    EXPECT_FALSE(ensembleBatchable({nullptr, c0.get()}));
+
+    // Same-type groups of the kinds whose batched loops did not beat
+    // serial replay refuse too.
+    for (const PredictorKind kind :
+         {PredictorKind::Gshare, PredictorKind::BiMode,
+          PredictorKind::MultiComponent}) {
+        SCOPED_TRACE(kindName(kind));
+        auto m0 = makePredictor(kind, 4 * 1024);
+        auto m1 = makePredictor(kind, 16 * 1024);
+        auto m2 = makePredictor(kind, 64 * 1024);
+        EXPECT_FALSE(ensembleBatchable({m0.get(), m1.get()}));
+        EXPECT_FALSE(
+            ensembleBatchable({m0.get(), m1.get(), m2.get()}));
+    }
 
     // Any wrapped member refuses: fault-injected pairs, protected
     // pairs, and either next to a bare sibling of its inner kind.
     robust::FaultPlan plan;
     plan.upsetRatePerBit = 1e-4;
     auto f0 = std::make_unique<robust::FaultInjectingPredictor>(
-        makePredictor(PredictorKind::Gshare, 4 * 1024), plan);
+        makePredictor(PredictorKind::Perceptron, 4 * 1024), plan);
     auto f1 = std::make_unique<robust::FaultInjectingPredictor>(
-        makePredictor(PredictorKind::Gshare, 16 * 1024), plan);
+        makePredictor(PredictorKind::Perceptron, 16 * 1024), plan);
     EXPECT_FALSE(ensembleBatchable({f0.get(), f1.get()}));
     robust::ProtectionConfig prot;
     prot.policy = robust::ProtectionPolicy::ParityInvalidate;
-    auto p0 = makeProtectedPredictor(PredictorKind::Gshare, 4 * 1024,
-                                     prot, robust::FaultPlan{});
-    auto p1 = makeProtectedPredictor(PredictorKind::Gshare, 16 * 1024,
-                                     prot, robust::FaultPlan{});
+    auto p0 = makeProtectedPredictor(PredictorKind::Perceptron,
+                                     4 * 1024, prot,
+                                     robust::FaultPlan{});
+    auto p1 = makeProtectedPredictor(PredictorKind::Perceptron,
+                                     16 * 1024, prot,
+                                     robust::FaultPlan{});
     EXPECT_FALSE(ensembleBatchable({p0.get(), p1.get()}));
-    EXPECT_FALSE(ensembleBatchable({g0.get(), f0.get()}));
-    EXPECT_FALSE(ensembleBatchable({g0.get(), p0.get()}));
-    EXPECT_FALSE(ensembleBatchable({g0.get(), f0.get(), p0.get()}));
+    EXPECT_FALSE(ensembleBatchable({c0.get(), f0.get()}));
+    EXPECT_FALSE(ensembleBatchable({c0.get(), p0.get()}));
+    EXPECT_FALSE(ensembleBatchable({c0.get(), f0.get(), p0.get()}));
 
     // An unknown user subclass refuses outright.
     UnknownDirectionPredictor u0;
@@ -215,12 +236,12 @@ expectEnsembleMatchesSerial(
     }
 }
 
-TEST(EnsembleReplay, WrappedGroupFallsBackToVirtualLoopBitIdentical)
+TEST(EnsembleReplay, WrappedGroupReplaysSeriallyBitIdentical)
 {
     // A fault-injected pair is refused by the probe; handed to
-    // runAccuracyEnsemble anyway, it replays through the virtual
-    // loop and matches serial runs exactly (same plan + seed =>
-    // identical flip sequence per member).
+    // runAccuracyEnsemble anyway, it replays member by member and
+    // matches serial runs exactly (same plan + seed => identical
+    // flip sequence per member).
     const TraceBuffer trace = suiteTrace();
     robust::FaultPlan plan;
     plan.upsetRatePerBit = 1e-4;
@@ -246,7 +267,7 @@ TEST(EnsembleReplay, MixedWrapperGroupMatchesSerial)
 {
     // A bare gshare, a fault-injected one and a protected one:
     // mixed types, so the probe refuses and runAccuracyEnsemble
-    // falls back to the virtual loop, where every wrapper's cadence
+    // replays them member by member, where every wrapper's cadence
     // fires at the serial update counts.
     const TraceBuffer trace = suiteTrace();
     robust::FaultPlan plan;
@@ -276,8 +297,9 @@ TEST(EnsembleReplay, MixedWrapperGroupMatchesSerial)
     expectEnsembleMatchesSerial(batched, serial, trace);
 }
 
-/** The fig-sweep config list used by the suite-level tests: two
- *  batchable families plus one lone config on the serial path. */
+/** The fig-sweep config list used by the suite-level tests: a
+ *  gshare family and a lone bimodal on the serial path around one
+ *  batchable perceptron family. */
 std::vector<AccuracyCellConfig>
 sweepConfigs()
 {
@@ -336,12 +358,12 @@ TEST(EnsembleReplay, SuiteReportMatchesSerialByteForByte)
     const EnsembleStats stats = suiteAccuracyReportEnsemble(
         suite, configs, batchedReport, &batchedMetrics);
 
-    // gshare group of 3 and perceptron group of 2 batch; the lone
-    // bimodal runs serially.
-    EXPECT_EQ(stats.groups, 2u);
-    EXPECT_EQ(stats.batchWidth, 3u);
-    EXPECT_EQ(stats.batchedCells, 5u * suite.size());
-    EXPECT_EQ(stats.serialCells, 1u * suite.size());
+    // Only the perceptron pair batches; the three gshare budgets
+    // and the lone bimodal run serially.
+    EXPECT_EQ(stats.groups, 1u);
+    EXPECT_EQ(stats.batchWidth, 2u);
+    EXPECT_EQ(stats.batchedCells, 2u * suite.size());
+    EXPECT_EQ(stats.serialCells, 4u * suite.size());
 
     // Serial reference: the oracle runs each config in list order
     // over the same suite.
@@ -401,9 +423,9 @@ TEST(EnsembleReplay, EnvEscapeForcesSerialIdenticalOutput)
 
 TEST(EnsembleReplay, MixedWrapperSuiteReportMatchesSerial)
 {
-    // Protected and fault-injected gshare variants next to two bare
-    // ones — the protection-surface sweep shape. The bare siblings
-    // still batch; the wrapped configs run as serial cells.
+    // Protected and fault-injected perceptron variants next to two
+    // bare ones — the protection-surface sweep shape. The bare
+    // siblings still batch; the wrapped configs run as serial cells.
     const SuiteTraces suite(4000, 13, nullptr, TraceCache());
     robust::ProtectionConfig prot;
     prot.policy = robust::ProtectionPolicy::SecdedCorrect;
@@ -416,23 +438,25 @@ TEST(EnsembleReplay, MixedWrapperSuiteReportMatchesSerial)
         for (const std::size_t budget : {4096u, 16384u})
             configs.emplace_back(
                 [budget] {
-                    return makePredictor(PredictorKind::Gshare, budget);
+                    return makePredictor(PredictorKind::Perceptron,
+                                         budget);
                 },
-                "gshare", budget);
+                "perceptron", budget);
         configs.emplace_back(
             [prot, plan] {
-                return makeProtectedPredictor(PredictorKind::Gshare,
-                                              16 * 1024, prot, plan);
+                return makeProtectedPredictor(
+                    PredictorKind::Perceptron, 16 * 1024, prot, plan);
             },
-            "gshare.secded", 16 * 1024);
+            "perceptron.secded", 16 * 1024);
         configs.emplace_back(
             [plan] {
                 return std::make_unique<
                     robust::FaultInjectingPredictor>(
-                    makePredictor(PredictorKind::Gshare, 16 * 1024),
+                    makePredictor(PredictorKind::Perceptron,
+                                  16 * 1024),
                     plan);
             },
-            "gshare.fault", 16 * 1024);
+            "perceptron.fault", 16 * 1024);
         return configs;
     };
 
@@ -457,22 +481,22 @@ TEST(EnsembleReplay, MixedWrapperSuiteReportMatchesSerial)
               metricsSansEnsemble(serialMetrics));
 }
 
-TEST(EnsembleReplay, PerWorkloadFactoryMatchesEscapeHatch)
+TEST(EnsembleReplay, PerWorkloadFactoryMatchesSerial)
 {
     // makeForWorkload lets the soft-error studies seed each cell's
-    // fault plan by workload index; the sweep must produce the same
-    // rows as the escape-hatch serial path with identical per-cell
-    // seeds. Bare per-workload configs batch, the fault-injected
-    // ones replay serially.
+    // fault plan by workload index; the sweep must produce the
+    // oracle's rows with identical per-cell seeds. Bare per-workload
+    // perceptrons batch, the fault-injected ones replay serially.
     const SuiteTraces suite(4000, 13, nullptr, TraceCache());
     const auto build = [] {
         std::vector<AccuracyCellConfig> configs;
         for (const std::size_t budget : {4096u, 16384u}) {
             AccuracyCellConfig c;
             c.makeForWorkload = [budget](std::size_t) {
-                return makePredictor(PredictorKind::Gshare, budget);
+                return makePredictor(PredictorKind::Perceptron,
+                                     budget);
             };
-            c.name = "gshare";
+            c.name = "perceptron";
             c.budgetBytes = budget;
             configs.push_back(std::move(c));
         }
@@ -486,11 +510,11 @@ TEST(EnsembleReplay, PerWorkloadFactoryMatchesEscapeHatch)
                 return std::unique_ptr<DirectionPredictor>(
                     std::make_unique<
                         robust::FaultInjectingPredictor>(
-                        makePredictor(PredictorKind::Gshare,
+                        makePredictor(PredictorKind::Perceptron,
                                       budget),
                         plan));
             };
-            c.name = "gshare.fault";
+            c.name = "perceptron.fault";
             c.budgetBytes = budget;
             configs.push_back(std::move(c));
         }
@@ -499,20 +523,92 @@ TEST(EnsembleReplay, PerWorkloadFactoryMatchesEscapeHatch)
 
     std::vector<AccuracyCellConfig> batched = build();
     obs::RunReport batchedReport;
-    const EnsembleStats stats =
-        suiteAccuracyReportEnsemble(suite, batched, batchedReport);
+    obs::MetricRegistry batchedMetrics;
+    const EnsembleStats stats = suiteAccuracyReportEnsemble(
+        suite, batched, batchedReport, &batchedMetrics);
     EXPECT_EQ(stats.groups, 1u);
     EXPECT_EQ(stats.batchedCells, 2u * suite.size());
     EXPECT_EQ(stats.serialCells, 2u * suite.size());
 
-    ASSERT_EQ(::setenv("BPSIM_ENSEMBLE", "0", 1), 0);
-    std::vector<AccuracyCellConfig> forced = build();
-    obs::RunReport forcedReport;
-    suiteAccuracyReportEnsemble(suite, forced, forcedReport);
-    ::unsetenv("BPSIM_ENSEMBLE");
+    std::vector<AccuracyCellConfig> ref = build();
+    obs::RunReport serialReport;
+    obs::MetricRegistry serialMetrics;
+    accuracyOracle(suite, ref, serialReport, &serialMetrics);
 
     EXPECT_EQ(batchedReport.toJson().dump(2),
-              forcedReport.toJson().dump(2));
+              serialReport.toJson().dump(2));
+    EXPECT_EQ(metricsSansEnsemble(batchedMetrics),
+              metricsSansEnsemble(serialMetrics));
+}
+
+/** A serial-only test predictor that counts its live instances. */
+struct CountingPredictor final : DirectionPredictor
+{
+    static inline int live = 0;
+    static inline int maxLive = 0;
+
+    CountingPredictor()
+    {
+        maxLive = std::max(maxLive, ++live);
+    }
+    ~CountingPredictor() override { --live; }
+
+    std::string name() const override { return "counting"; }
+    std::size_t storageBits() const override { return 8; }
+    bool predict(Addr) override { return false; }
+    void update(Addr, bool) override { ++updates_; }
+    std::vector<PredictorStat>
+    describeStats() const override
+    {
+        return {{"counting.updates",
+                 static_cast<double>(updates_)}};
+    }
+
+  private:
+    Counter updates_ = 0;
+};
+
+TEST(EnsembleReplay, SweepFreesEachCellsPredictorsWhenItEnds)
+{
+    // The batched perceptron group holds up the emission of the
+    // serial config's rows; its cells must still free their
+    // predictors as soon as each has run and snapshotted its gauges,
+    // so at most one is ever alive.
+    const SuiteTraces suite(4000, 13, nullptr, TraceCache());
+    const auto build = [] {
+        std::vector<AccuracyCellConfig> configs;
+        for (const std::size_t budget : {4096u, 16384u})
+            configs.emplace_back(
+                [budget] {
+                    return makePredictor(PredictorKind::Perceptron,
+                                         budget);
+                },
+                "perceptron", budget);
+        configs.emplace_back(
+            [] { return std::make_unique<CountingPredictor>(); },
+            "counting", 1);
+        return configs;
+    };
+
+    CountingPredictor::live = 0;
+    CountingPredictor::maxLive = 0;
+    std::vector<AccuracyCellConfig> configs = build();
+    obs::RunReport report;
+    obs::MetricRegistry metrics;
+    const EnsembleStats stats =
+        suiteAccuracyReportEnsemble(suite, configs, report, &metrics);
+    EXPECT_EQ(stats.groups, 1u);
+    EXPECT_EQ(CountingPredictor::live, 0);
+    EXPECT_EQ(CountingPredictor::maxLive, 1);
+
+    // The snapshots still publish the gauges the serial path does.
+    std::vector<AccuracyCellConfig> ref = build();
+    obs::RunReport serialReport;
+    obs::MetricRegistry serialMetrics;
+    accuracyOracle(suite, ref, serialReport, &serialMetrics);
+    EXPECT_EQ(report.toJson().dump(2), serialReport.toJson().dump(2));
+    EXPECT_EQ(metricsSansEnsemble(metrics),
+              metricsSansEnsemble(serialMetrics));
 }
 
 } // namespace

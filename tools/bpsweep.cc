@@ -69,10 +69,7 @@ usage(const char *argv0)
                  "usage: %s --list\n"
                  "       %s (--all | NAME...) [--jobs N] "
                  "[--report-dir DIR]\n"
-                 "           [--timeline FILE] [--progress] "
-                 "[--ensemble 0|1]\n"
-                 "--ensemble 0 replays accuracy sweeps serially "
-                 "(timing sweeps never batch)\n",
+                 "           [--timeline FILE] [--progress]\n",
                  argv0, argv0);
     return 2;
 }
@@ -191,11 +188,6 @@ main(int argc, char **argv)
     using bpsim::artifactRegistry;
 
     const unsigned jobs = bpsim::takeJobsFlag(argc, argv);
-    // Sets BPSIM_ENSEMBLE for every artifact body in this process:
-    // --ensemble 0 is the sweep-wide escape hatch for A/B-ing the
-    // batched accuracy replay engine against the serial path (timing
-    // sweeps always run serially).
-    bpsim::takeEnsembleFlag(argc, argv);
     const std::string reportDir =
         bpsim::obs::takeFlag(argc, argv, "--report-dir");
     const std::string timelinePath =

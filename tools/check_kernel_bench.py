@@ -13,12 +13,12 @@ the packed-PHT locality shows up as 2x.
 --same-run gates a ratio *within* the current run instead of against
 the baseline: `--same-run NUM:DEN[:R]` fails when
 current[NUM] / current[DEN] < R (R defaults to --min-ratio). That
-makes it machine-independent — the standing uses are holding the
+makes it machine-independent — standing uses include holding the
 flight recorder's disabled path to "a branch on a null sink"
 (BM_SpanOverhead/disabled vs /none at 0.5x) and holding the batched
 ensemble perceptron kernel's per-member-branch throughput above the
 serial replay kernel's (BM_EnsembleReplay/perceptron vs
-BM_PredictUpdate/perceptron at 1.5x — measured ~7x; losing the
+BM_PredictUpdate/perceptron at 1.5x — measured 2.5-3x; losing the
 shared-input batching shows up as ~1x).
 
 Usage:
